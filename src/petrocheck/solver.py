@@ -25,6 +25,22 @@ the strictly increasing regularized flux make each step an M-matrix problem,
 so the scheme obeys a discrete comparison principle up to the nonlinear
 solve tolerance.
 
+Cost per step: the coefficients that depend only on the time level (zeta,
+zeta', zeta^-p and the upwind split) are built once per step, and the
+residual with the flux derivative that gives its Jacobian is assembled once
+per Newton iterate: the accepted line-search trial's assembly becomes the
+next iterate's, so a step that converges after k Newton iterations without
+backtracking costs k + 1 assemblies and k tridiagonal solves.  The Newton
+Jacobian and the Picard matrix are built from those coefficients by one
+routine, only for systems that are solved.  Each tridiagonal system goes straight
+to LAPACK gtsv (Gaussian elimination with partial pivoting, the routine
+scipy's solve_banded calls for one sub- and one super-diagonal), so results
+match solve_banded bit for bit.  A non-finite residual or Jacobian, or a
+singular system, raises SolverError with the step and time.  Each solve
+records its counts (steps, Newton iterations, assemblies, backtracks, blind
+steps, Picard iterations) and the worst accepted scaled residual in
+GridField.meta["stats"].
+
 Time grid: geometric (log-uniform) from t0 down to -eps_min, then each
 interval is subdivided until dt <= c_step * zeta(t)^p, because the
 transformed diffusion coefficient grows like zeta^(-p) as the cusp closes.
@@ -44,10 +60,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
+# no longer called (the solver calls gtsv directly); the name stays bound
+# because perfbench/tracing.py wraps solver.solve_banded
+from scipy.linalg import solve_banded  # noqa: F401
 
 from .calculus import Params
 from .domains import DomainProfile
@@ -237,170 +256,206 @@ def time_grid(profile: DomainProfile, p: float, cfg: SolverConfig) -> np.ndarray
     return grid
 
 
-def _phi_reg(s, p, eps):
-    return (s * s + eps * eps) ** ((p - 2.0) / 2.0) * s
-
-
-def _dphi_reg(s, p, eps):
+def _flux(s, p, eps):
+    """Regularized flux phi(s) = (s^2 + eps^2)^((p-2)/2) s and its derivative."""
     s2e = s * s + eps * eps
-    return s2e ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
+    return (s2e ** ((p - 2.0) / 2.0) * s,
+            s2e ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps))
+
+
+class _StepCoefficients(NamedTuple):
+    """Values of one time step's discrete operator that do not depend on the
+    iterate (zeta^-p is written dscale, the radial weight y^(1-n) radial)."""
+
+    dt: float
+    axis: float             # dscale * n: flux factor of the symmetry cell
+    axis_jac: float         # dt * dscale * n
+    radial: np.ndarray      # dscale * radial at the interior nodes
+    jac_plus: np.ndarray    # dt * dscale * radial * geom_plus
+    jac_minus: np.ndarray   # dt * dscale * radial * geom_minus
+    a: np.ndarray           # advection coefficient y zeta'/zeta, interior nodes
+    up: np.ndarray          # a > 0: upwind side is i+1
+    Ap: np.ndarray          # dt * max(a, 0) / h, coupling to i+1
+    Am: np.ndarray          # dt * max(-a, 0) / h, coupling to i-1
 
 
 class _Stepper:
-    """One implicit-Euler step of the transformed equation (reused arrays)."""
+    """One implicit-Euler step of the transformed equation.
+
+    `stats` accumulates over the steps taken: every call of `assemble` counts
+    as an assembly, so assemblies == steps + newton_iterations + backtracks
+    + blind_steps + picard_iterations (a Newton iteration's first line-search
+    trial is its own assembly; each further trial is a backtrack).
+    """
 
     def __init__(self, profile, p, n, cfg):
         self.profile, self.p, self.n, self.cfg = profile, p, n, cfg
         ny = cfg.n_y
         self.y = np.linspace(0.0, 1.0, ny)
         self.h = self.y[1] - self.y[0]
+        self.h2 = self.h * self.h
         yh = self.y[:-1] + self.h / 2.0             # half points y_{i+1/2}
         self.geom_plus = yh[1:] ** (n - 1)          # faces i+1/2 for i=1..ny-2
         self.geom_minus = yh[:-1] ** (n - 1)        # faces i-1/2 for i=1..ny-2
         self.y_inner = self.y[1:-1]
         self.radial = self.y_inner ** (1 - n)
         self.y_half0 = self.h / 2.0
+        self.axis_h = self.y_half0 * self.h
+        self.stats = {"steps": 0, "newton_iterations": 0, "assemblies": 0,
+                      "backtracks": 0, "blind_steps": 0, "picard_iterations": 0,
+                      "worst_residual": 0.0}
 
-    def residual_jacobian(self, v, vold, t_new, dt, bc):
-        """G(v), tridiagonal Jacobian bands and per-row magnitude scales.
-
-        The scale vector bounds the terms combined in each G row; the
-        nonlinear solve accepts |G_i| <= tol * scale_i, which is the roundoff
-        floor of evaluating G (an absolute test is unreachable when the
-        regularized flux makes individual terms large but cancelling).
-        """
-        p, n, cfg = self.p, self.n, self.cfg
-        h, y = self.h, self.y
+    def coefficients(self, t_new, dt) -> _StepCoefficients:
         z = float(self.profile.zeta(t_new))
         dz = float(self.profile.dzeta(t_new))
-        dscale = z ** (-p)
-        a = y * (dz / z)
+        dscale = z ** (-self.p)
+        a = self.y_inner * (dz / z)
+        up = a > 0.0
+        return _StepCoefficients(
+            dt=dt,
+            axis=dscale * self.n,
+            axis_jac=dt * dscale * self.n,
+            radial=dscale * self.radial,
+            jac_plus=dt * dscale * self.radial * self.geom_plus,
+            jac_minus=dt * dscale * self.radial * self.geom_minus,
+            a=a,
+            up=up,
+            Ap=dt * np.where(up, a, 0.0) / self.h,
+            Am=dt * np.where(up, 0.0, -a) / self.h,
+        )
 
-        s = np.diff(v) / h                           # slopes at half points
-        phi = _phi_reg(s, p, cfg.eps_reg)
-        dphi = _dphi_reg(s, p, cfg.eps_reg)
+    def solve(self, c: _StepCoefficients, d, rhs, step_index, t_new):
+        """Solve the tridiagonal step system whose flux derivative at the half
+        points is d: phi'(s) gives the Newton Jacobian, the frozen coefficient
+        phi(s)/s the Picard matrix.
+
+        The matrix goes straight to LAPACK gtsv, the routine solve_banded
+        uses for one sub- and one super-diagonal.
+        """
+        ny = d.size + 1
+        diag = np.empty(ny)
+        sub = np.empty(ny - 1)                       # J[i, i-1]
+        sup = np.empty(ny - 1)                       # J[i, i+1]
+        c0 = c.axis_jac * d[0] / self.axis_h
+        diag[0] = 1.0 + c0
+        sup[0] = -c0
+        Dp = c.jac_plus * d[1:] / self.h2
+        Dm = c.jac_minus * d[:-1] / self.h2
+        diag[1:-1] = 1.0 + Dp + Dm + c.Ap + c.Am
+        sup[1:] = -(Dp + c.Ap)
+        sub[:-1] = -(Dm + c.Am)
+        diag[-1] = 1.0                               # Dirichlet row at y = 1
+        sub[-1] = 0.0
+        # the off-diagonals are minus non-negative parts of the diagonal, so a
+        # non-finite entry anywhere in the matrix shows in diag
+        if not np.isfinite(diag).all():
+            raise SolverError(f"non-finite Jacobian at step {step_index} "
+                              f"(t={t_new:.6g})", step=step_index, t=t_new)
+        x, info = dgtsv(sub, diag, sup, rhs)[3:]
+        if info != 0:
+            raise SolverError(f"singular tridiagonal system at step {step_index} "
+                              f"(t={t_new:.6g}, LAPACK info={info})",
+                              step=step_index, t=t_new)
+        return x
+
+    def assemble(self, v, vold, c: _StepCoefficients, bc):
+        """G(v), the flux derivative phi'(s) that gives its Jacobian, and the
+        scaled residual norm.
+
+        The norm is max_i |G_i| / scale_i, where scale_i bounds the terms
+        combined in row i; the nonlinear solve accepts norm <= tol, which is
+        the roundoff floor of evaluating G (an absolute test is unreachable
+        when the regularized flux makes individual terms large but
+        cancelling).
+        """
+        self.stats["assemblies"] += 1
+        p, eps, h, dt = self.p, self.cfg.eps_reg, self.h, c.dt
+        s = (v[1:] - v[:-1]) / h                     # slopes at half points
+        phi, dphi = _flux(s, p, eps)
 
         G = np.empty_like(v)
         scale = np.empty_like(v)
-        diag = np.ones_like(v)
-        sub = np.zeros(v.size - 1)                   # J[i, i-1]
-        sup = np.zeros(v.size - 1)                   # J[i, i+1]
 
         # symmetry cell at y = 0: zero flux through the axis
-        L0 = dscale * n * phi[0] / self.y_half0
+        L0 = c.axis * phi[0] / self.y_half0
         G[0] = v[0] - vold[0] - dt * L0
         scale[0] = 1.0 + abs(v[0]) + abs(vold[0]) + dt * abs(L0)
-        c0 = dt * dscale * n * dphi[0] / (self.y_half0 * h)
-        diag[0] = 1.0 + c0
-        sup[0] = -c0
 
         # interior rows i = 1..ny-2
         Fp = self.geom_plus * phi[1:]
         Fm = self.geom_minus * phi[:-1]
-        diff = dscale * self.radial * (Fp - Fm) / h
-        diff_mag = dscale * self.radial * (np.abs(Fp) + np.abs(Fm)) / h
-        ai = a[1:-1]
-        up = ai > 0.0
-        adv = np.where(up, ai * s[1:], ai * s[:-1])
+        diff = c.radial * (Fp - Fm) / h
+        diff_mag = c.radial * (np.abs(Fp) + np.abs(Fm)) / h
+        adv = np.where(c.up, c.a * s[1:], c.a * s[:-1])
         G[1:-1] = v[1:-1] - vold[1:-1] - dt * (adv + diff)
         scale[1:-1] = (1.0 + np.abs(v[1:-1]) + np.abs(vold[1:-1])
                        + dt * (np.abs(adv) + diff_mag))
 
-        Dp = dt * dscale * self.radial * self.geom_plus * dphi[1:] / (h * h)
-        Dm = dt * dscale * self.radial * self.geom_minus * dphi[:-1] / (h * h)
-        Ap = dt * np.where(up, ai, 0.0) / h          # coupling to i+1
-        Am = dt * np.where(up, 0.0, -ai) / h         # coupling to i-1 (ai <= 0)
-        diag[1:-1] = 1.0 + Dp + Dm + Ap + Am
-        sup[1:] = -(Dp + Ap)
-        sub[:-1] = -(Dm + Am)
-
         # Dirichlet row at y = 1
         G[-1] = v[-1] - bc
         scale[-1] = 1.0 + abs(bc)
-        diag[-1] = 1.0
-        sub[-1] = 0.0
-        return G, (sup, diag, sub), scale
-
-    def solve_banded_system(self, bands, rhs):
-        sup, diag, sub = bands
-        ab = np.zeros((3, diag.size))
-        ab[0, 1:] = sup
-        ab[1, :] = diag
-        ab[2, :-1] = sub
-        return solve_banded((1, 1), ab, rhs)
+        return G, dphi, float((np.abs(G) / scale).max())
 
     def step(self, vold, t_new, dt, bc, step_index):
-        cfg = self.cfg
+        c = self.coefficients(t_new, dt)
         v = vold.copy()
         v[-1] = bc
-        for it in range(cfg.newton_max):
-            G, bands, scale = self.residual_jacobian(v, vold, t_new, dt, bc)
-            gnorm = float(np.max(np.abs(G) / scale))
+        v, gnorm = self._newton(v, vold, c, bc, step_index, t_new)
+        if not gnorm <= self.cfg.tol:
+            v, gnorm = self._picard(v, gnorm, vold, c, bc, step_index, t_new)
+        self.stats["steps"] += 1
+        self.stats["worst_residual"] = max(self.stats["worst_residual"], gnorm)
+        return v
+
+    def _newton(self, v, vold, c, bc, step_index, t_new):
+        """Newton iterates with one assembly each: an accepted line-search
+        trial's residual and flux derivative are the next iterate's."""
+        cfg, stats = self.cfg, self.stats
+        G, dphi, gnorm = self.assemble(v, vold, c, bc)
+        for _ in range(cfg.newton_max):
             if gnorm <= cfg.tol:
-                return v
-            dv = self.solve_banded_system(bands, -G)
+                break
+            if not math.isfinite(gnorm):
+                raise SolverError(f"non-finite residual at step {step_index} "
+                                  f"(t={t_new:.6g})", step=step_index, t=t_new,
+                                  residual=gnorm)
+            dv = self.solve(c, dphi, -G, step_index, t_new)
+            stats["newton_iterations"] += 1
             # nonmonotone acceptance: degenerate fronts (p > 2, flat slopes)
             # converge through transient residual increases, so only damp on
             # blow-up or non-finite trials
             lam = 1.0
-            for _ in range(12):
+            for tries in range(1, 13):
                 trial = v + lam * dv
-                Gt, _, st = self.residual_jacobian(trial, vold, t_new, dt, bc)
-                gt = float(np.max(np.abs(Gt) / st))
+                Gt, dphit, gt = self.assemble(trial, vold, c, bc)
                 if math.isfinite(gt) and gt < 5.0 * gnorm:
-                    v = trial
+                    v, G, dphi, gnorm = trial, Gt, dphit, gt
                     break
                 lam *= 0.5
             else:
                 v = v + 0.1 * dv
-        G, _, scale = self.residual_jacobian(v, vold, t_new, dt, bc)
-        if float(np.max(np.abs(G) / scale)) <= cfg.tol:
-            return v
-        # Picard fallback: freeze the flux coefficient w = phi(s)/s
-        for it in range(cfg.picard_max):
-            v = self._picard_iterate(v, vold, t_new, dt, bc)
-            G, _, scale = self.residual_jacobian(v, vold, t_new, dt, bc)
-            gnorm = float(np.max(np.abs(G) / scale))
+                G, dphi, gnorm = self.assemble(v, vold, c, bc)
+                stats["blind_steps"] += 1
+            stats["backtracks"] += tries - 1
+        return v, gnorm
+
+    def _picard(self, v, gnorm, vold, c, bc, step_index, t_new):
+        """Picard fallback: freeze the flux coefficient w = phi(s)/s."""
+        cfg = self.cfg
+        rhs = vold.copy()
+        rhs[-1] = bc
+        for _ in range(cfg.picard_max):
+            s = (v[1:] - v[:-1]) / self.h
+            w = (s * s + cfg.eps_reg ** 2) ** ((self.p - 2.0) / 2.0)
+            v = self.solve(c, w, rhs, step_index, t_new)
+            self.stats["picard_iterations"] += 1
+            gnorm = self.assemble(v, vold, c, bc)[2]
             if gnorm <= cfg.tol:
-                return v
+                return v, gnorm
         raise SolverError(
             f"nonlinear solve stalled at step {step_index} (t={t_new:.6g}, "
             f"scaled |G|={gnorm:.3e})", step=step_index, t=t_new, residual=gnorm,
         )
-
-    def _picard_iterate(self, v, vold, t_new, dt, bc):
-        p, n, cfg = self.p, self.n, self.cfg
-        h, y = self.h, self.y
-        z = float(self.profile.zeta(t_new))
-        dz = float(self.profile.dzeta(t_new))
-        dscale = z ** (-p)
-        a = y * (dz / z)
-        s = np.diff(v) / h
-        w = (s * s + cfg.eps_reg ** 2) ** ((p - 2.0) / 2.0)
-
-        diag = np.ones_like(v)
-        sub = np.zeros(v.size - 1)
-        sup = np.zeros(v.size - 1)
-        rhs = vold.copy()
-
-        c0 = dt * dscale * n * w[0] / (self.y_half0 * h)
-        diag[0] = 1.0 + c0
-        sup[0] = -c0
-
-        Dp = dt * dscale * self.radial * self.geom_plus * w[1:] / (h * h)
-        Dm = dt * dscale * self.radial * self.geom_minus * w[:-1] / (h * h)
-        ai = a[1:-1]
-        up = ai > 0.0
-        Ap = dt * np.where(up, ai, 0.0) / h
-        Am = dt * np.where(up, 0.0, -ai) / h
-        diag[1:-1] = 1.0 + Dp + Dm + Ap + Am
-        sup[1:] = -(Dp + Ap)
-        sub[:-1] = -(Dm + Am)
-
-        diag[-1] = 1.0
-        sub[-1] = 0.0
-        rhs[-1] = bc
-        return self.solve_banded_system((sup, diag, sub), rhs)
 
 
 def solve_dirichlet(
@@ -453,7 +508,8 @@ def solve_dirichlet(
     return GridField(
         y_nodes=y, t_nodes=ts, values=values, params=pars, profile=profile,
         meta={"data_min": data_min, "data_max": data_max,
-              "config": asdict(cfg), "n_steps": int(ts.size - 1)},
+              "config": asdict(cfg), "n_steps": int(ts.size - 1),
+              "stats": dict(stepper.stats)},
     )
 
 
@@ -550,6 +606,8 @@ def classify(
     where q >= 1/2 is regular.  The singular borderline q = 1/p (p < 2) is
     reported Unknown, never guessed.
     """
+    if not all(math.isfinite(x) for x in (p, q, K)):
+        raise DomainError(f"p, q and K must be finite, got p={p}, q={q}, K={K}")
     if p <= 1:
         raise DomainError(f"p must exceed 1, got p={p}")
     if q <= 0:
@@ -580,6 +638,8 @@ def classify(
             trend = probe["trend"]
             meta["probe"] = {"endpoints": probe["endpoints"],
                              "thresholds": probe["thresholds"]}
+            if "error" in probe:
+                meta["probe"]["error"] = probe["error"]
             if verdict == "Unknown":
                 # the borderline case is open; the probe may not decide it
                 trend = "inconclusive"

@@ -196,6 +196,9 @@ def check_sign(
     valid = np.isfinite(flat)
     if not np.any(valid):
         raise DomainError("no valid grid points inside the domain")
+    # a non-finite residual inside the domain fails the certificate; only
+    # points outside the domain are skipped
+    non_finite = np.flatnonzero(inside.reshape(-1) & ~valid)
     if sense == ">=0":
         idx = int(np.nanargmin(flat))
         worst = float(flat[idx])
@@ -207,6 +210,13 @@ def check_sign(
     else:
         raise DomainError(f"sense must be '>=0' or '<=0', got {sense!r}")
     loc = (float(R.reshape(-1)[idx]), float(T.reshape(-1)[idx]))
+    details = {}
+    if non_finite.size:
+        passed = False
+        first = non_finite[0]
+        details = {"non_finite_points": int(non_finite.size),
+                   "first_non_finite_location": [float(R.reshape(-1)[first]),
+                                                 float(T.reshape(-1)[first])]}
     return CertificateReport(
         subject=subject or u.label,
         condition=f"residual {sense}",
@@ -216,6 +226,7 @@ def check_sign(
         passed=bool(passed),
         tolerance=tol,
         sense=sense,
+        details=details,
     )
 
 

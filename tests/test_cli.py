@@ -93,6 +93,12 @@ class TestClassify:
         assert json.loads(out.read_text())["verdict"]["theorem_verdict"] == "Unknown"
 
 
+    @pytest.mark.parametrize("p, q", [("nan", "0.5"), ("inf", "0.5"), ("3", "nan")])
+    def test_non_finite_input_usage_error(self, p, q, capsys):
+        assert run(["classify", "--p", p, "--q", q]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_degenerate_row(self, tmp_path):
         out = tmp_path / "sweep.json"

@@ -3,9 +3,11 @@ import pytest
 
 from petrocheck.calculus import barenblatt_function
 from petrocheck.domains import make_profile, profile_from_samples
-from petrocheck.errors import DomainError
+from petrocheck.errors import DomainError, SolverError
+from petrocheck import solver as solver_mod
 from petrocheck.solver import (
     SolverConfig,
+    _Stepper,
     classify,
     default_probe,
     probe_origin,
@@ -168,6 +170,63 @@ class TestSolveDirichlet:
         assert SolverConfig.from_json(cfg.to_json()) == cfg
 
 
+def smooth_data(r, t):
+    return 0.3 + 0.4 * np.sin(2.0 * np.asarray(r, dtype=float) + 0.5) + 0.2 * np.asarray(t)
+
+
+def assert_one_assembly_per_iterate(stats):
+    assert stats["assemblies"] == (stats["steps"] + stats["newton_iterations"]
+                                   + stats["backtracks"] + stats["blind_steps"]
+                                   + stats["picard_iterations"])
+
+
+class TestSolverStats:
+    def test_newton_assembles_once_per_iterate(self, power_profile):
+        cfg = SolverConfig(n_y=65, n_t=200, eps_min=1e-3)
+        fld = solve_dirichlet(power_profile, 3.0, 1, smooth_data, cfg)
+        stats = fld.meta["stats"]
+        assert stats["steps"] == fld.meta["n_steps"]
+        assert stats["newton_iterations"] > stats["steps"]
+        assert stats["picard_iterations"] == 0
+        assert 0.0 < stats["worst_residual"] <= cfg.tol
+        assert_one_assembly_per_iterate(stats)
+
+    def test_picard_fallback_matches_newton(self, power_profile):
+        grid = dict(n_y=33, n_t=40, eps_min=0.3)
+        newton = solve_dirichlet(power_profile, 2.2, 1, smooth_data, SolverConfig(**grid))
+        picard = solve_dirichlet(power_profile, 2.2, 1, smooth_data,
+                                 SolverConfig(newton_max=0, **grid))
+        stats = picard.meta["stats"]
+        assert stats["newton_iterations"] == 0
+        assert stats["picard_iterations"] > stats["steps"]
+        assert stats["worst_residual"] <= 1e-11
+        assert_one_assembly_per_iterate(stats)
+        assert np.max(np.abs(picard.values - newton.values)) < 1e-10
+
+
+class TestNonFinite:
+    def test_nan_data_at_one_level_raises_solver_error(self, power_profile):
+        ts = -np.logspace(0.0, -1.0, 12)
+        bad_t = ts[5]
+        f = lambda r, t: np.nan if t == bad_t else 0.5 + 0.0 * np.asarray(r, dtype=float)
+        with pytest.raises(SolverError) as err:
+            solve_dirichlet(power_profile, 3.0, 1, f, SolverConfig(n_y=17), t_nodes=ts)
+        assert err.value.step == 5
+        assert err.value.t == bad_t
+
+    def test_singular_system_raises_solver_error(self, power_profile):
+        st = _Stepper(power_profile, 3.0, 1, SolverConfig(n_y=9))
+        c = st.coefficients(-0.5, 0.01)
+        zero = np.zeros_like(c.Ap)
+        # first row becomes [0, 1, 0, ...] with nothing below it to pivot on
+        c = c._replace(axis_jac=-st.axis_h, jac_minus=zero, Ap=zero, Am=zero)
+        d = np.zeros(8)
+        d[0] = 1.0
+        with pytest.raises(SolverError, match="singular") as err:
+            st.solve(c, d, np.ones(9), 7, -0.5)
+        assert err.value.step == 7
+
+
 class TestProbe:
     def test_zero_datum_attains_trivially(self, power_profile):
         zero = lambda r, t: 0.0 * np.asarray(r, dtype=float)
@@ -216,6 +275,19 @@ class TestClassify:
             classify(1.0, 0.5)
         with pytest.raises(DomainError):
             classify(3.0, -0.1)
+        for p, q, K in [(np.nan, 0.5, 1.0), (np.inf, 0.5, 1.0),
+                        (3.0, np.nan, 1.0), (3.0, 0.5, np.inf)]:
+            with pytest.raises(DomainError, match="finite"):
+                classify(p, q, K=K)
+
+    def test_failed_rung_error_is_reported(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverError("nonlinear solve stalled at step 3", step=3, t=-0.5)
+        monkeypatch.setattr(solver_mod, "solve_dirichlet", fail)
+        v = classify(3.0, 0.6, with_probe=True)
+        assert v.numeric_trend == "inconclusive"
+        assert v.meta["probe"]["error"] == "nonlinear solve stalled at step 3"
+        assert v.to_dict()["meta"]["probe"]["error"] == "nonlinear solve stalled at step 3"
 
     def test_verdict_dict(self):
         v = classify(3.0, 0.34)

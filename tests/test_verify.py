@@ -74,6 +74,25 @@ class TestCheckSign:
         with pytest.raises(DomainError):
             check_sign(spec.fn, prof, 1.5, 2, grid=empty)
 
+    def test_non_finite_residual_inside_domain_fails(self, singular_case):
+        spec, prof = singular_case
+        grid = make_cert_grid(prof, 128, 128)
+        t_split = float(np.median(grid.t_levels))
+
+        def half_nan(g):
+            return lambda r, t: np.where(np.asarray(t) < t_split, np.nan, g(r, t))
+
+        u = spec.fn
+        broken = SpaceTimeFunction(fn=half_nan(u.fn), dt=half_nan(u.dt),
+                                   dr=half_nan(u.dr), drr=half_nan(u.drr), label="half-NaN")
+        assert check_sign(u, prof, 1.5, 2, grid=grid).passed
+        rep = check_sign(broken, prof, 1.5, 2, grid=grid)
+        assert not rep.passed
+        assert rep.grid["points"] == 64 * 128
+        assert rep.details["non_finite_points"] == 64 * 128
+        r, t = rep.details["first_non_finite_location"]
+        assert prof.contains(r, t) and t < t_split
+
     def test_deterministic_reports(self, singular_case):
         spec, prof = singular_case
         grid = make_cert_grid(prof, 32, 32)
