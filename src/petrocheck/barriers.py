@@ -1,8 +1,9 @@
 """Explicit barrier constructions on cusp domains, with exact derivatives.
 
-Five closed-form constructions are provided, each returned as a
-SpaceTimeFunction whose dt/dr/drr are analytic (so pointwise residuals
-du/dt - Lap_p u can be certified to roundoff):
+Five closed-form constructions are provided.  Each is written once, as a
+formula u(r, t), and returned by SpaceTimeFunction.from_formula, so its
+dt/dr/drr are exact (one forward-mode jet pass of the same formula) and
+pointwise residuals du/dt - Lap_p u can be certified to roundoff:
 
 singular_irregularity   1 < p < 2, 0 < q < 1/p: a supersolution whose value
                         along the axis tends to 0 while its boundary datum at
@@ -28,15 +29,12 @@ certification.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .calculus import Params, SpaceTimeFunction, lambda_of
+from .calculus import Params, SpaceTimeFunction, lambda_of, lift, minimum, where
 from .domains import DomainProfile, Gauge, make_profile
 from .errors import DomainError
 
@@ -138,33 +136,13 @@ def singular_irregularity_barrier(p: float, q: float, n: int) -> SpaceTimeFuncti
     a = p * q / (p - 1.0)
     c2 = n / (1.0 - p * q) * (p / (p - 1.0)) ** (p - 1.0)
 
-    def fn(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
+    def u(r, t):
         tip = (r == 0.0) & (t == 0.0)
-        tt = np.where(tip, -1.0, t)
-        val = r ** pp * (-tt) ** (-a) - c2 * (-tt) ** (1.0 - p * q)
-        out = np.where(tip, 1.0, val)
-        return out if out.ndim else float(out)
+        tt = where(tip, -1.0, t)
+        return where(tip, 1.0, r ** pp * (-tt) ** (-a) - c2 * (-tt) ** (1.0 - p * q))
 
-    def dt(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return a * r ** pp * (-t) ** (-a - 1.0) + c2 * (1.0 - p * q) * (-t) ** (-p * q)
-
-    def dr(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return pp * r ** (pp - 1.0) * (-t) ** (-a)
-
-    def drr(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return pp * (pp - 1.0) * r ** (pp - 2.0) * (-t) ** (-a)
-
-    return SpaceTimeFunction(
-        fn=fn, dt=dt, dr=dr, drr=drr,
-        label=f"singular-irregularity(p={p}, q={q}, n={n})",
+    return SpaceTimeFunction.from_formula(
+        u, label=f"singular-irregularity(p={p}, q={q}, n={n})",
         meta={"p": p, "q": q, "n": n, "tip_value": 1.0},
     )
 
@@ -187,40 +165,12 @@ def singular_traditional_barrier(p: float, q: float, n: int) -> SpaceTimeFunctio
     B = b_const(p, n)
     M = m_const(p, q, n)
 
-    def _branches(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        core = r ** pp < B / 2.0
-        v = (-t) ** c * (B - r ** pp)
-        active = core & (v < M)
-        return r, t, v, core, active
+    def u(r, t):
+        rp = r ** pp
+        return where(rp < B / 2.0, minimum((-t) ** c * (B - rp), M), M)
 
-    def fn(r, t):
-        r, t, v, core, _ = _branches(r, t)
-        out = np.where(core, np.minimum(v, M), M)
-        return out if out.ndim else float(out)
-
-    def dt(r, t):
-        r, t, v, core, active = _branches(r, t)
-        vt = -c * (-t) ** (c - 1.0) * (B - r ** pp)
-        out = np.where(active, vt, 0.0)
-        return out if out.ndim else float(out)
-
-    def dr(r, t):
-        r, t, v, core, active = _branches(r, t)
-        vr = -(-t) ** c * pp * r ** (pp - 1.0)
-        out = np.where(active, vr, 0.0)
-        return out if out.ndim else float(out)
-
-    def drr(r, t):
-        r, t, v, core, active = _branches(r, t)
-        vrr = -(-t) ** c * pp * (pp - 1.0) * r ** (pp - 2.0)
-        out = np.where(active, vrr, 0.0)
-        return out if out.ndim else float(out)
-
-    return SpaceTimeFunction(
-        fn=fn, dt=dt, dr=dr, drr=drr,
-        label=f"singular-traditional(p={p}, q={q}, n={n})",
+    return SpaceTimeFunction.from_formula(
+        u, label=f"singular-traditional(p={p}, q={q}, n={n})",
         meta={"p": p, "q": q, "n": n, "B": B, "M": M},
     )
 
@@ -237,23 +187,11 @@ def small_data_bound_g(p: float, q: float, n: int) -> SpaceTimeFunction:
     thr = (B / 2.0) ** ((p - 1.0) / (p * q))
     c = 1.0 / (2.0 - p)
 
-    def fn(r, t):
-        t = np.asarray(t, dtype=float)
-        val = (B / 2.0) * np.minimum(-t, thr) ** c
-        out = val + 0.0 * np.asarray(r, dtype=float)
-        return out if out.ndim else float(out)
+    def u(r, t):
+        return (B / 2.0) * minimum(-t, thr) ** c + 0.0 * r
 
-    def dt(r, t):
-        t = np.asarray(t, dtype=float)
-        unclamped = (-t) < thr
-        val = np.where(unclamped, -(B / 2.0) * c * (-t) ** (c - 1.0), 0.0)
-        out = val + 0.0 * np.asarray(r, dtype=float)
-        return out if out.ndim else float(out)
-
-    zero = lambda r, t: np.zeros(np.broadcast(np.asarray(r), np.asarray(t)).shape)
-    return SpaceTimeFunction(
-        fn=fn, dt=dt, dr=zero, drr=zero,
-        label=f"small-data-bound(p={p}, q={q}, n={n})",
+    return SpaceTimeFunction.from_formula(
+        u, label=f"small-data-bound(p={p}, q={q}, n={n})",
         meta={"p": p, "q": q, "n": n, "B": B, "clamp_threshold": thr},
     )
 
@@ -281,29 +219,11 @@ def degenerate_irregularity_barrier(p: float, n: int, C: float) -> SpaceTimeFunc
     alpha = p / (p - 2.0)
     b = 1.0 / (p - 2.0)
 
-    def fn(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
+    def u(r, t):
         return C * r ** alpha * (-t) ** (-b)
 
-    def dt(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return C * b * r ** alpha * (-t) ** (-b - 1.0)
-
-    def dr(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return C * alpha * r ** (alpha - 1.0) * (-t) ** (-b)
-
-    def drr(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return C * alpha * (alpha - 1.0) * r ** (alpha - 2.0) * (-t) ** (-b)
-
-    return SpaceTimeFunction(
-        fn=fn, dt=dt, dr=dr, drr=drr,
-        label=f"degenerate-irregularity(p={p}, n={n}, C={C})",
+    return SpaceTimeFunction.from_formula(
+        u, label=f"degenerate-irregularity(p={p}, n={n}, C={C})",
         meta={"p": p, "n": n, "C": C, "c_max": cm, "tip_value": C},
     )
 
@@ -328,34 +248,42 @@ def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> Sp
     alpha = p / (p - 2.0)
     b = beta / (p - 2.0)
 
-    def fn(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
+    def u(r, t):
         tip = (r == 0.0) & (t == 0.0)
-        tt = np.where(tip, -1.0, t)
-        out = np.where(tip, 0.0, A * r ** alpha * (-tt) ** (-b))
-        return out if out.ndim else float(out)
+        tt = where(tip, -1.0, t)
+        return where(tip, 0.0, A * r ** alpha * (-tt) ** (-b))
 
-    def dt(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return A * b * r ** alpha * (-t) ** (-b - 1.0)
-
-    def dr(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return A * alpha * r ** (alpha - 1.0) * (-t) ** (-b)
-
-    def drr(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return A * alpha * (alpha - 1.0) * r ** (alpha - 2.0) * (-t) ** (-b)
-
-    return SpaceTimeFunction(
-        fn=fn, dt=dt, dr=dr, drr=drr,
-        label=f"degenerate-small-data(p={p}, q={q}, n={n}, beta={beta})",
+    return SpaceTimeFunction.from_formula(
+        u, label=f"degenerate-small-data(p={p}, q={q}, n={n}, beta={beta})",
         meta={"p": p, "q": q, "n": n, "beta": beta, "A": A, "tip_value": 0.0},
     )
+
+
+class _FamilyGeometry(NamedTuple):
+    """Constants and shapes of the barrier family w_C for p > 2, shared by
+    the construction, its threshold search and its certificate."""
+
+    p: float
+    n: int
+    lam: float      # n(p-2) + p
+    pp: float       # p/(p-1)
+    m: float        # (p-1)/(p-2)
+    kap: float      # (p-2)/(p lam^(1/(p-1)))
+
+    def chi(self, r, t):
+        """chi = (|x|/(-t)^(1/lam))^(p/(p-1)), so that Q = C + kap chi."""
+        return r ** self.pp * (-t) ** (-self.pp / self.lam)
+
+    def envelope(self, C, delta, t, scale=1.0):
+        """scale * rho_C(t), rho_C = C^(1/(p-2)) delta^((p-1)/(p-2)) (-t)^(-n/lam)."""
+        return (scale * C ** (1.0 / (self.p - 2.0)) * delta ** self.m
+                * (-t) ** (-self.n / self.lam))
+
+
+def _family_geometry(p: float, n: int) -> _FamilyGeometry:
+    lam = lambda_of(p, n)
+    return _FamilyGeometry(p=p, n=n, lam=lam, pp=p / (p - 1.0), m=(p - 1.0) / (p - 2.0),
+                           kap=(p - 2.0) / (p * lam ** (1.0 / (p - 1.0))))
 
 
 def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceTimeFunction:
@@ -382,59 +310,19 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
         raise DomainError("gauge must carry a closed-form derivative (use envelope_gauge)")
     if not gauge.monotone_flag:
         raise DomainError("gauge must be weighted-monotone (use envelope_gauge)")
-    lam = lambda_of(p, n)
-    if lam <= 0:
-        raise DomainError(f"lambda = {lam} must be positive")
-    pp = p / (p - 1.0)
-    m = (p - 1.0) / (p - 2.0)
-    kap = (p - 2.0) / (p * lam ** (1.0 / (p - 1.0)))
+    geo = _family_geometry(p, n)
     cpow = C ** (1.0 / (p - 2.0))
-    delta, ddelta = gauge.delta, gauge.ddelta
 
-    def _parts(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        chi = r ** pp * (-t) ** (-pp / lam)
-        Q = C + kap * chi
-        d = delta(t)
-        f = -d ** (1.0 / (p - 2.0)) * (-t) ** (-n / lam)
-        return r, t, chi, Q, d, f
-
-    def fn(r, t):
-        r, t, chi, Q, d, f = _parts(r, t)
+    def w(r, t):
+        Q = C + geo.kap * geo.chi(r, t)
+        d = lift(t, gauge.delta, gauge.ddelta)
+        f = -d ** (1.0 / (p - 2.0)) * (-t) ** (-n / geo.lam)
         rho = -cpow * d * f
-        out = (Q ** m - C ** m) * f + rho
-        return out if out.ndim else float(out)
+        return (Q ** geo.m - C ** geo.m) * f + rho
 
-    def dt(r, t):
-        r, t, chi, Q, d, f = _parts(r, t)
-        dd = ddelta(t)
-        fp = -(
-            (1.0 / (p - 2.0)) * d ** (1.0 / (p - 2.0) - 1.0) * dd * (-t) ** (-n / lam)
-            + d ** (1.0 / (p - 2.0)) * (n / lam) * (-t) ** (-n / lam - 1.0)
-        )
-        rhop = -cpow * (dd * f + d * fp)
-        Qt = p * (Q - C) / (lam * (p - 1.0) * (-t))
-        out = (Q ** m - C ** m) * fp + rhop + m * Q ** (m - 1.0) * Qt * f
-        return out if out.ndim else float(out)
-
-    def dr(r, t):
-        r, t, chi, Q, d, f = _parts(r, t)
-        Qr = kap * pp * r ** (pp - 1.0) * (-t) ** (-pp / lam)
-        out = m * Q ** (m - 1.0) * Qr * f
-        return out if out.ndim else float(out)
-
-    def drr(r, t):
-        r, t, chi, Q, d, f = _parts(r, t)
-        Qr = kap * pp * r ** (pp - 1.0) * (-t) ** (-pp / lam)
-        Qrr = kap * pp * (pp - 1.0) * r ** (pp - 2.0) * (-t) ** (-pp / lam)
-        out = m * ((m - 1.0) * Q ** (m - 2.0) * Qr ** 2 + Q ** (m - 1.0) * Qrr) * f
-        return out if out.ndim else float(out)
-
-    return SpaceTimeFunction(
-        fn=fn, dt=dt, dr=dr, drr=drr,
-        label=f"degenerate-family(p={p}, n={n}, C={C})",
-        meta={"p": p, "n": n, "C": C, "lambda": lam, "kappa": kap,
+    return SpaceTimeFunction.from_formula(
+        w, label=f"degenerate-family(p={p}, n={n}, C={C})",
+        meta={"p": p, "n": n, "C": C, "lambda": geo.lam, "kappa": geo.kap,
               "below_threshold_unknown": True},
     )
 
@@ -463,9 +351,8 @@ def find_family_threshold(p: float, n: int, gauge: Gauge,
         raise DomainError(f"requires p > 2, got p={p}")
     if gauge.ddelta is None or gauge.t_samples is None:
         raise DomainError("gauge must carry samples and a derivative")
-    lam = lambda_of(p, n)
-    m = (p - 1.0) / (p - 2.0)
-    kap = (p - 2.0) / (p * lam ** (1.0 / (p - 1.0)))
+    geo = _family_geometry(p, n)
+    lam, m, kap = geo.lam, geo.m, geo.kap
     ts = gauge.t_samples
     d = np.asarray(gauge.delta(ts), dtype=float)
     dd = np.asarray(gauge.ddelta(ts), dtype=float)
@@ -523,8 +410,8 @@ class BarrierSpec:
         return out
 
     def json_hash(self) -> str:
-        payload = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
+        from .verify import stamp  # verify imports this module
+        return stamp(self.to_json_dict())["report_hash"]
 
 
 def make_barrier(kind: str, p: float, n: int, q: Optional[float] = None,

@@ -10,7 +10,14 @@ Expanding the outer derivative gives the equivalent non-conservative form
 
     Lap_p u = (p-1) |u_r|^(p-2) u_rr + (n-1)/r |u_r|^(p-2) u_r,
 
-which is what `residual` uses when closed-form derivatives are attached.
+which is what `residual` uses when exact derivatives are attached.
+
+Exact derivatives come from one formula per construction.  A formula
+u(r, t) is written once with numpy operators and the helpers `where`,
+`minimum` and `lift`; applied to arrays it gives the values, applied to the
+forward-mode `Jet` variables of r and t it gives u_t, u_r and u_rr in one
+pass (Griewank & Walther, Evaluating Derivatives, 2nd ed.).
+`SpaceTimeFunction.from_formula` builds a field from such a formula.
 Everything here is pure and reentrant; functions accept numpy arrays.
 """
 
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +34,10 @@ from .errors import DomainError
 
 __all__ = [
     "Params",
+    "Jet",
+    "where",
+    "minimum",
+    "lift",
     "SpaceTimeFunction",
     "lambda_of",
     "p_laplacian_radial_power",
@@ -105,6 +117,153 @@ class Params:
             )
 
 
+def _is(x, c):
+    """x is the Python scalar c; jets carry derivatives that are identically
+    0 or 1 as such scalars, so no array work is spent on them."""
+    return type(x) is float and x == c
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return 0.0
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else a * b
+
+
+def _add(a, b):
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else a + b
+
+
+def _jet(x):
+    return x if isinstance(x, Jet) else Jet(x)
+
+
+def _value(x):
+    return x.v if isinstance(x, Jet) else x
+
+
+class Jet:
+    """Forward-mode jet of a field u(r, t): value v with u_t, u_r and u_rr.
+
+    Supports + - * / with jets and constants, ** with a constant exponent,
+    `where`, `minimum` and `lift`; comparisons act on the value.
+    """
+
+    __slots__ = ("v", "t", "r", "rr")
+    __array_ufunc__ = None      # numpy operands defer to the reflected operators
+    __hash__ = None
+
+    def __init__(self, v, t=0.0, r=0.0, rr=0.0):
+        self.v, self.t, self.r, self.rr = v, t, r, rr
+
+    def __add__(self, o):
+        o = _jet(o)
+        return Jet(self.v + o.v, _add(self.t, o.t), _add(self.r, o.r), _add(self.rr, o.rr))
+
+    def __mul__(self, o):
+        o = _jet(o)
+        rr = _add(_add(_mul(self.rr, o.v), _mul(self.v, o.rr)), _mul(2.0, _mul(self.r, o.r)))
+        return Jet(self.v * o.v, _add(_mul(self.t, o.v), _mul(self.v, o.t)),
+                   _add(_mul(self.r, o.v), _mul(self.v, o.r)), rr)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __truediv__(self, o):
+        quotient = self * _jet(o) ** -1.0
+        quotient.v = self.v / _value(o)
+        return quotient
+
+    def __pow__(self, k):
+        v = self.v
+        d = k * v ** (k - 1.0)
+        rr = _mul(d, self.rr)
+        if not _is(self.r, 0.0):
+            rr = _add(rr, _mul(k * (k - 1.0) * v ** (k - 2.0), _mul(self.r, self.r)))
+        return Jet(v ** k, _mul(d, self.t), _mul(d, self.r), rr)
+
+    def __lt__(self, o):
+        return self.v < _value(o)
+
+    def __gt__(self, o):
+        return self.v > _value(o)
+
+    def __eq__(self, o):
+        return self.v == _value(o)
+
+
+def _select(value, mask, a, b):
+    """The jet with this value and a's derivatives where mask holds, else b's."""
+    return Jet(value, *(0.0 if _is(x, 0.0) and _is(y, 0.0) else np.where(mask, x, y)
+                        for x, y in ((a.t, b.t), (a.r, b.r), (a.rr, b.rr))))
+
+
+def where(mask, a, b):
+    """np.where for arrays and jets; a jet skips the branch that is nowhere taken."""
+    if not isinstance(a, Jet) and not isinstance(b, Jet):
+        return np.where(mask, a, b)
+    a, b = _jet(a), _jet(b)
+    if not np.any(mask):
+        return b
+    return a if np.all(mask) else _select(np.where(mask, a.v, b.v), mask, a, b)
+
+
+def minimum(a, b):
+    """np.minimum for arrays and jets; on a tie the derivative is b's."""
+    if not isinstance(a, Jet) and not isinstance(b, Jet):
+        return np.minimum(a, b)
+    a, b = _jet(a), _jet(b)
+    return _select(np.minimum(a.v, b.v), a.v < b.v, a, b)
+
+
+def lift(t, g, dg):
+    """The r-free factor g(t) of a formula, with dg its closed-form derivative."""
+    if not isinstance(t, Jet):
+        return g(t)
+    return Jet(g(t.v), _mul(dg(t.v), t.t))
+
+
+def _unwrap(out):
+    """An array, or a float for a 0-d result."""
+    return out if out.ndim else float(out)
+
+
+def _evaluate(formula, r, t):
+    return _unwrap(np.asarray(formula(np.asarray(r, dtype=float), np.asarray(t, dtype=float))))
+
+
+_JET_BLOCK = 1 << 16     # points per jet pass over a block of rows
+
+
+def _jet_pass(formula, r, t):
+    """(u_t, u_r, u_rr) of a formula at (r, t), each of the broadcast shape.
+
+    Large inputs go through the formula a block of rows at a time, which
+    bounds the memory held by the jet's intermediates; every operation is
+    elementwise, so the blocks give the same values as one pass.
+    """
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    shape = r.shape
+    r, t = np.atleast_1d(r, t)
+    out = np.empty((3,) + r.shape)
+    rows = max(1, _JET_BLOCK // max(1, r[0].size))
+    for i in range(0, len(r), rows):
+        jet = _jet(formula(Jet(r[i:i + rows], 0.0, 1.0), Jet(t[i:i + rows], 1.0)))
+        out[0, i:i + rows], out[1, i:i + rows], out[2, i:i + rows] = jet.t, jet.r, jet.rr
+    return tuple(_unwrap(d.reshape(shape)) for d in out)
+
+
+def _jet_component(formula, index, r, t):
+    return _jet_pass(formula, r, t)[index]
+
+
 @dataclass(frozen=True)
 class SpaceTimeFunction:
     """An evaluable radial scalar field u(r, t) with optional closed forms.
@@ -112,6 +271,8 @@ class SpaceTimeFunction:
     fn evaluates the field; dt, dr, drr are closed-form time/radial
     derivatives when available (all vectorized over numpy arrays).
     in_domain, when given, is the validity predicate of the formulas.
+    A field built by `from_formula` keeps its formula, and `derivatives`
+    then takes all three derivatives from one jet pass.
     """
 
     fn: Callable
@@ -121,6 +282,19 @@ class SpaceTimeFunction:
     label: str = ""
     in_domain: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
+    formula: Optional[Callable] = None
+
+    @classmethod
+    def from_formula(cls, formula: Callable, label: str = "",
+                     in_domain: Optional[Callable] = None,
+                     meta: Optional[dict] = None) -> "SpaceTimeFunction":
+        """The field u = formula(r, t): values from arrays, derivatives from jets."""
+        return cls(fn=partial(_evaluate, formula),
+                   dt=partial(_jet_component, formula, 0),
+                   dr=partial(_jet_component, formula, 1),
+                   drr=partial(_jet_component, formula, 2),
+                   label=label, in_domain=in_domain, meta=meta or {},
+                   formula=formula)
 
     def __call__(self, r, t):
         return self.fn(r, t)
@@ -128,6 +302,12 @@ class SpaceTimeFunction:
     @property
     def has_closed_derivatives(self) -> bool:
         return self.dt is not None and self.dr is not None and self.drr is not None
+
+    def derivatives(self, r, t):
+        """(u_t, u_r, u_rr) at (r, t)."""
+        if self.formula is not None:
+            return _jet_pass(self.formula, r, t)
+        return self.dt(r, t), self.dr(r, t), self.drr(r, t)
 
 
 def _phi(s, p, eps=0.0):
@@ -154,8 +334,7 @@ def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.
     if np.any(r < 0):
         raise DomainError("radius must be nonnegative")
     if C == 0.0 or alpha == 0.0:
-        out = np.zeros_like(r)
-        return out if out.ndim else float(out)
+        return _unwrap(np.zeros_like(r))
     expo = (alpha - 1.0) * (p - 1.0) - 1.0
     if expo < 0 and np.any(r == 0.0):
         raise DomainError(
@@ -163,8 +342,7 @@ def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.
         )
     ca = C * alpha
     coeff = ca * abs(ca) ** (p - 2.0) * (n + expo)
-    out = coeff * r ** expo
-    return out if out.ndim else float(out)
+    return _unwrap(coeff * r ** expo)
 
 
 def p_laplacian_radial_fd(
@@ -214,6 +392,18 @@ def barenblatt(r, t, p: float, n: int, C: float):
     with lam = n(p-2)+p.  Requires p != 2 and lam > 0; the positive part
     clamps the profile to zero outside its support when p > 2.
     """
+    if np.any(np.asarray(t) <= 0):
+        raise DomainError("requires t > 0")
+    return barenblatt_function(p, n, C).fn(r, t)
+
+
+def barenblatt_function(p: float, n: int, C: float) -> SpaceTimeFunction:
+    """Source solution as a SpaceTimeFunction with exact derivatives.
+
+    Derivatives are valid in the interior of the support only; points on or
+    beyond the free boundary (p > 2) are not smooth and report value 0 with
+    zero derivatives.
+    """
     if p == 2:
         raise DomainError("p = 2 (Gaussian kernel) is unsupported")
     if C <= 0:
@@ -221,88 +411,18 @@ def barenblatt(r, t, p: float, n: int, C: float):
     lam = lambda_of(p, n)
     if lam <= 0:
         raise DomainError(f"lambda = {lam} must be positive")
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("requires t > 0")
-    b = (p - 2.0) / p * lam ** (1.0 / (1.0 - p))
-    xi = (r / t ** (1.0 / lam)) ** (p / (p - 1.0))
-    base = C - b * xi
-    m = (p - 1.0) / (p - 2.0)
-    if p > 2:
-        out = t ** (-n / lam) * np.where(base > 0.0, np.abs(base) ** m, 0.0)
-    else:
-        # base >= C > 0 always (b < 0); no clamping occurs
-        out = t ** (-n / lam) * base ** m
-    return out if out.ndim else float(out)
-
-
-def barenblatt_function(p: float, n: int, C: float) -> SpaceTimeFunction:
-    """Source solution as a SpaceTimeFunction with closed-form derivatives.
-
-    Derivatives are valid in the interior of the support only; points on or
-    beyond the free boundary (p > 2) are not smooth and report value 0 with
-    zero derivatives.
-    """
-    lam = lambda_of(p, n)
-    if lam <= 0 or p == 2 or C <= 0:
-        raise DomainError("requires p != 2, lambda > 0 and C > 0")
     b = (p - 2.0) / p * lam ** (1.0 / (1.0 - p))
     m = (p - 1.0) / (p - 2.0)
-    pp = p / (p - 1.0)
 
-    def pieces(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        xi = r ** pp * t ** (-pp / lam)
-        base = C - b * xi
-        return r, t, xi, base
+    def u(r, t):
+        base = C - b * (r / t ** (1.0 / lam)) ** (p / (p - 1.0))
+        if p < 2:
+            return t ** (-n / lam) * base ** m      # b < 0, so base >= C > 0
+        inside = base > 0.0
+        return where(inside, t ** (-n / lam) * where(inside, base, 1.0) ** m, 0.0)
 
-    def fn(r, t):
-        return barenblatt(r, t, p, n, C)
-
-    def inside(base):
-        return base > 0.0 if p > 2 else np.ones_like(base, dtype=bool)
-
-    def dt(r, t):
-        r, t, xi, base = pieces(r, t)
-        msk = inside(base)
-        basem = np.where(msk, base, 1.0)
-        dxi_dt = -(pp / lam) * xi / t
-        val = (
-            -(n / lam) * t ** (-n / lam - 1.0) * basem ** m
-            + t ** (-n / lam) * m * basem ** (m - 1.0) * (-b) * dxi_dt
-        )
-        out = np.where(msk, val, 0.0)
-        return out if out.ndim else float(out)
-
-    def dr(r, t):
-        r, t, xi, base = pieces(r, t)
-        msk = inside(base)
-        basem = np.where(msk, base, 1.0)
-        dxi_dr = pp * r ** (pp - 1.0) * t ** (-pp / lam)
-        val = t ** (-n / lam) * m * basem ** (m - 1.0) * (-b) * dxi_dr
-        out = np.where(msk, val, 0.0)
-        return out if out.ndim else float(out)
-
-    def drr(r, t):
-        r, t, xi, base = pieces(r, t)
-        msk = inside(base)
-        basem = np.where(msk, base, 1.0)
-        dxi_dr = pp * r ** (pp - 1.0) * t ** (-pp / lam)
-        d2xi_dr2 = pp * (pp - 1.0) * r ** (pp - 2.0) * t ** (-pp / lam)
-        val = t ** (-n / lam) * m * (-b) * (
-            (m - 1.0) * basem ** (m - 2.0) * (-b) * dxi_dr ** 2
-            + basem ** (m - 1.0) * d2xi_dr2
-        )
-        out = np.where(msk, val, 0.0)
-        return out if out.ndim else float(out)
-
-    return SpaceTimeFunction(
-        fn=fn,
-        dt=dt,
-        dr=dr,
-        drr=drr,
+    return SpaceTimeFunction.from_formula(
+        u,
         label=f"barenblatt(p={p}, n={n}, C={C})",
         in_domain=lambda r, t: np.asarray(t) > 0,
         meta={"p": p, "n": n, "C": C, "lambda": lam},
@@ -322,8 +442,9 @@ def residual(
     """Pointwise residual du/dt - Lap_p u of a smooth radial field.
 
     A nonnegative value indicates supersolution behavior at the point.
-    method="closed" uses attached dt/dr/drr (vectorized and exact up to
-    roundoff); method="fd" uses central differences for du/dt and the
+    method="closed" uses the attached derivatives (one jet pass for a field
+    built from a formula; vectorized and exact up to roundoff);
+    method="fd" uses central differences for du/dt and the
     conservative oracle for Lap_p; "auto" prefers closed forms.
     """
     if u.in_domain is not None and not np.all(u.in_domain(r, t)):
@@ -335,8 +456,7 @@ def residual(
             raise DomainError(f"{u.label!r} has no closed-form derivatives")
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
-        ur = np.asarray(u.dr(r, t), dtype=float)
-        urr = np.asarray(u.drr(r, t), dtype=float)
+        ut, ur, urr = (np.asarray(d, dtype=float) for d in u.derivatives(r, t))
         flat = (ur == 0.0) & (urr == 0.0)  # locally constant branch: Lap_p = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             if eps == 0.0:
@@ -345,8 +465,7 @@ def residual(
                 grad = (ur * ur + eps * eps) ** ((p - 2.0) / 2.0)
             lap = (p - 1.0) * grad * urr + (n - 1.0) / r * grad * ur
         lap = np.where(flat, 0.0, lap)
-        out = np.asarray(u.dt(r, t), dtype=float) - lap
-        return out if out.ndim else float(out)
+        return _unwrap(ut - lap)
     if method == "fd":
         rs = np.atleast_1d(np.asarray(r, dtype=float))
         ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -365,21 +484,24 @@ def residual(
 
 
 def check_derivatives(u: SpaceTimeFunction, points, h: float = 1e-4) -> float:
-    """Max relative deviation of attached dt/dr from central differences.
+    """Max relative deviation of attached derivatives from central differences.
 
-    points is an iterable of (r, t) interior sample points.  Returns the
-    worst relative error over both derivatives; callers assert it <= 1e-6.
+    dt and dr are compared with differences of fn, drr with differences of
+    dr.  points is an iterable of (r, t) interior sample points.  Returns the
+    worst relative error over the three derivatives (NaN if any is NaN);
+    callers assert it <= 1e-6.
     """
-    worst = 0.0
+    errors = [0.0]
     for r, t in points:
         ht = h * abs(t) if t != 0 else h
         hr = h * r if r > 0 else h
+        pairs = []
         if u.dt is not None:
-            fd = (u.fn(r, t + ht) - u.fn(r, t - ht)) / (2.0 * ht)
-            cf = float(u.dt(r, t))
-            worst = max(worst, abs(cf - fd) / (1.0 + abs(cf)))
+            pairs.append((u.dt(r, t), (u.fn(r, t + ht) - u.fn(r, t - ht)) / (2.0 * ht)))
         if u.dr is not None and r > 0:
-            fd = (u.fn(r + hr, t) - u.fn(r - hr, t)) / (2.0 * hr)
-            cf = float(u.dr(r, t))
-            worst = max(worst, abs(cf - fd) / (1.0 + abs(cf)))
-    return worst
+            pairs.append((u.dr(r, t), (u.fn(r + hr, t) - u.fn(r - hr, t)) / (2.0 * hr)))
+            if u.drr is not None:
+                pairs.append((u.drr(r, t),
+                              (u.dr(r + hr, t) - u.dr(r - hr, t)) / (2.0 * hr)))
+        errors += [abs(float(cf) - fd) / (1.0 + abs(float(cf))) for cf, fd in pairs]
+    return float(np.max(errors))

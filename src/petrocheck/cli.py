@@ -11,10 +11,8 @@ the timestamp excluded.  Exit codes: 0 pass, 1 usage/precondition error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import math
 import sys
-import time as _time
 
 import numpy as np
 
@@ -30,16 +28,23 @@ EXIT_PASS, EXIT_USAGE, EXIT_CERT_FAIL, EXIT_SOLVER_FAIL = 0, 1, 2, 3
 
 
 def _emit(payload: dict, out_path=None) -> None:
-    body = dict(payload)
-    body["schema"] = SCHEMA
-    body["report_hash"] = hashlib.sha256(ver.canonical_json(body).encode()).hexdigest()
-    body["generated_at"] = _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime())
-    text = ver.canonical_json(body)
+    text = ver.canonical_json(ver.stamp(dict(payload, schema=SCHEMA), with_timestamp=True))
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def finite_float(text: str) -> float:
+    """argparse type of every float option: a finite float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _solver_config(args) -> sol.SolverConfig:
@@ -56,7 +61,6 @@ def cmd_lemma_check(args) -> int:
         return EXIT_USAGE
     rng = np.random.default_rng(20260809)
     rows = []
-    worst = 0.0
     for _ in range(args.samples):
         C = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
         alpha = float(rng.uniform(0.6, 3.0))
@@ -64,9 +68,8 @@ def cmd_lemma_check(args) -> int:
         closed = float(calc.p_laplacian_radial_power(C, alpha, args.p, args.n, r))
         u = calc.SpaceTimeFunction(fn=lambda rr, tt, C=C, alpha=alpha: np.asarray(rr, dtype=float) ** alpha * C)
         oracle = calc.p_laplacian_radial_fd(u, args.p, args.n, r, -1.0, h=args.h)
-        err = abs(closed - oracle) / (1.0 + abs(closed))
-        worst = max(worst, err)
-        rows.append((C, alpha, r, closed, oracle, err))
+        rows.append((C, alpha, r, closed, oracle, abs(closed - oracle) / (1.0 + abs(closed))))
+    worst = float(np.max([row[5] for row in rows], initial=0.0))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("C,alpha,r,closed,oracle,rel_err\n")
@@ -84,13 +87,9 @@ def cmd_lemma_check(args) -> int:
 
 def cmd_barenblatt_check(args) -> int:
     """FD residual of the self-similar source solution at interior points."""
-    try:
-        B = calc.barenblatt_function(args.p, args.n, args.C)
-    except DomainError as err:
-        print(f"precondition violated: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    B = calc.barenblatt_function(args.p, args.n, args.C)
     rng = np.random.default_rng(20260809)
-    worst = 0.0
+    residuals = [0.0]
     for _ in range(args.points):
         t = float(rng.uniform(0.5, 2.0))
         if args.p > 2:
@@ -98,8 +97,8 @@ def cmd_barenblatt_check(args) -> int:
             r = float(rng.uniform(0.01 * rs, 0.95 * rs))
         else:
             r = float(rng.uniform(0.05, 3.0))
-        res = calc.residual(B, args.p, args.n, r, t, method="fd", h=args.h)
-        worst = max(worst, abs(res))
+        residuals.append(abs(calc.residual(B, args.p, args.n, r, t, method="fd", h=args.h)))
+    worst = float(np.max(residuals))
     ok = worst <= args.tol
     print(f"barenblatt-check(p={args.p}, n={args.n}): worst |residual| {worst:.3e}, "
           f"tol {args.tol:.1e}: {'PASS' if ok else 'FAIL'}")
@@ -108,52 +107,43 @@ def cmd_barenblatt_check(args) -> int:
 
 def cmd_verify(args) -> int:
     """Build a barrier and certify its defining inequalities on a grid."""
-    try:
-        if args.kind == "degenerate_family_member":
-            profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
-            gauge = dom.envelope_gauge(profile, args.p, args.n)
-            C0, det = bar.find_family_threshold(args.p, args.n, gauge)
-            ladder = [bar.make_barrier(args.kind, p=args.p, n=args.n, q=args.q,
-                                       K=args.K, C=C0 * 2 ** j, gauge=gauge)
-                      for j in range(args.ladder + 1)]
-            grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
-            rep = ver.check_barrier_family(ladder, profile, args.p, args.n,
-                                           k_max=args.k_max, grid=grid)
-            payload = {"command": "verify", "kind": args.kind,
-                       "config": {"p": args.p, "n": args.n, "q": args.q,
-                                  "K": args.K, "t0": args.t0,
-                                  "grid_y": args.grid_y, "grid_t": args.grid_t,
-                                  "ladder": args.ladder, "k_max": args.k_max},
-                       "C0": C0, "threshold_details": det,
-                       "certificate": rep.to_dict()}
-        else:
-            spec = bar.make_barrier(args.kind, p=args.p, n=args.n, q=args.q,
-                                    K=args.K, t0=args.t0, C=args.C, beta=args.beta)
-            profile = spec.reference_profile()
-            grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
-            rep = ver.check_sign(spec.fn, profile, args.p, args.n, grid=grid)
-            payload = {"command": "verify", "kind": args.kind,
-                       "config": {"p": args.p, "n": args.n, "q": args.q,
-                                  "K": args.K, "t0": args.t0, "C": args.C,
-                                  "beta": args.beta, "grid_y": args.grid_y,
-                                  "grid_t": args.grid_t},
-                       "barrier": spec.to_json_dict(grid_hash=grid.hash()),
-                       "certificate": rep.to_dict()}
-    except DomainError as err:
-        print(f"precondition violated: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.kind == "degenerate_family_member":
+        profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
+        gauge = dom.envelope_gauge(profile, args.p, args.n)
+        C0, det = bar.find_family_threshold(args.p, args.n, gauge)
+        ladder = [bar.make_barrier(args.kind, p=args.p, n=args.n, q=args.q,
+                                   K=args.K, C=C0 * 2 ** j, gauge=gauge)
+                  for j in range(args.ladder + 1)]
+        grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
+        rep = ver.check_barrier_family(ladder, profile, args.p, args.n,
+                                       k_max=args.k_max, grid=grid)
+        payload = {"command": "verify", "kind": args.kind,
+                   "config": {"p": args.p, "n": args.n, "q": args.q,
+                              "K": args.K, "t0": args.t0,
+                              "grid_y": args.grid_y, "grid_t": args.grid_t,
+                              "ladder": args.ladder, "k_max": args.k_max},
+                   "C0": C0, "threshold_details": det,
+                   "certificate": rep.to_dict()}
+    else:
+        spec = bar.make_barrier(args.kind, p=args.p, n=args.n, q=args.q,
+                                K=args.K, t0=args.t0, C=args.C, beta=args.beta)
+        profile = spec.reference_profile()
+        grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
+        rep = ver.check_sign(spec.fn, profile, args.p, args.n, grid=grid)
+        payload = {"command": "verify", "kind": args.kind,
+                   "config": {"p": args.p, "n": args.n, "q": args.q,
+                              "K": args.K, "t0": args.t0, "C": args.C,
+                              "beta": args.beta, "grid_y": args.grid_y,
+                              "grid_t": args.grid_t},
+                   "barrier": spec.to_json_dict(grid_hash=grid.hash()),
+                   "certificate": rep.to_dict()}
     _emit(payload, args.out)
     return EXIT_PASS if payload["certificate"]["pass"] else EXIT_CERT_FAIL
 
 
 def cmd_classify(args) -> int:
     """Regularity verdict for the power cusp, optionally with a solver probe."""
-    try:
-        verdict = sol.classify(args.p, args.q, n=args.n, K=args.K,
-                               with_probe=args.with_probe)
-    except DomainError as err:
-        print(f"precondition violated: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    verdict = sol.classify(args.p, args.q, n=args.n, K=args.K, with_probe=args.with_probe)
     payload = {"command": "classify",
                "config": {"p": args.p, "q": args.q, "n": args.n, "K": args.K,
                           "with_probe": args.with_probe},
@@ -166,24 +156,16 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     """Run the Dirichlet solver on a power cusp and export the field."""
-    try:
-        profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
-        if args.data == "probe":
-            f = sol.default_probe
-        elif args.data.startswith("const:"):
-            cval = float(args.data.split(":", 1)[1])
-            f = lambda r, t: cval + 0.0 * np.asarray(r, dtype=float)
-        else:
-            print(f"usage error: unknown --data {args.data!r}", file=sys.stderr)
-            return EXIT_USAGE
-        cfg = _solver_config(args)
-        field = sol.solve_dirichlet(profile, args.p, args.n, f, cfg)
-    except DomainError as err:
-        print(f"precondition violated: {err}", file=sys.stderr)
+    profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
+    if args.data == "probe":
+        f = sol.default_probe
+    elif args.data.startswith("const:"):
+        cval = float(args.data.split(":", 1)[1])
+        f = lambda r, t: cval + 0.0 * np.asarray(r, dtype=float)
+    else:
+        print(f"usage error: unknown --data {args.data!r}", file=sys.stderr)
         return EXIT_USAGE
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER_FAIL
+    field = sol.solve_dirichlet(profile, args.p, args.n, f, _solver_config(args))
     if args.out:
         field.to_csv(args.out)
     ok, margins = field.check_max_principle()
@@ -231,20 +213,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_scale_check(args) -> int:
     """Dilation equivariance of the discrete solver."""
-    if args.p == 2:
-        print("precondition violated: p = 2 has no scaling invariance", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
-        cfg = _solver_config(args)
-        rep = ver.check_scaling_equivariance(None, profile, args.p, args.a,
-                                             cfg=cfg, n=args.n, tol=args.tol)
-    except DomainError as err:
-        print(f"precondition violated: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER_FAIL
+    profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
+    rep = ver.check_scaling_equivariance(None, profile, args.p, args.a,
+                                         cfg=_solver_config(args), n=args.n, tol=args.tol)
     payload = {"command": "scale-check",
                "config": {"p": args.p, "n": args.n, "a": args.a, "q": args.q,
                           "K": args.K, "t0": args.t0, "grid_y": args.grid_y,
@@ -264,33 +235,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(sp, n_default=2):
-        sp.add_argument("--p", type=float, required=True)
+        sp.add_argument("--p", type=finite_float, required=True)
         sp.add_argument("--n", type=int, default=n_default)
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("lemma-check", help="closed form vs finite-difference oracle")
     common(sp)
     sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--h", type=float, default=1e-4)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--h", type=finite_float, default=1e-4)
+    sp.add_argument("--tol", type=finite_float, default=1e-6)
     sp.set_defaults(func=cmd_lemma_check)
 
     sp = sub.add_parser("barenblatt-check", help="residual of the source solution")
     common(sp)
-    sp.add_argument("--C", type=float, default=1.0)
+    sp.add_argument("--C", type=finite_float, default=1.0)
     sp.add_argument("--points", type=int, default=100)
-    sp.add_argument("--h", type=float, default=1e-4)
-    sp.add_argument("--tol", type=float, default=1e-5)
+    sp.add_argument("--h", type=finite_float, default=1e-4)
+    sp.add_argument("--tol", type=finite_float, default=1e-5)
     sp.set_defaults(func=cmd_barenblatt_check)
 
     sp = sub.add_parser("verify", help="sign/family certificate for a barrier kind")
     sp.add_argument("--kind", type=str, required=True, choices=bar.BARRIER_KINDS)
     common(sp)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--K", type=float, default=1.0)
-    sp.add_argument("--t0", type=float, default=-1.0)
-    sp.add_argument("--C", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
+    sp.add_argument("--q", type=finite_float, default=None)
+    sp.add_argument("--K", type=finite_float, default=1.0)
+    sp.add_argument("--t0", type=finite_float, default=-1.0)
+    sp.add_argument("--C", type=finite_float, default=None)
+    sp.add_argument("--beta", type=finite_float, default=None)
     sp.add_argument("--grid-y", type=int, default=128)
     sp.add_argument("--grid-t", type=int, default=128)
     sp.add_argument("--ladder", type=int, default=8)
@@ -298,27 +269,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("classify", help="regularity verdict for a power cusp")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
+    sp.add_argument("--p", type=finite_float, required=True)
+    sp.add_argument("--q", type=finite_float, required=True)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--K", type=float, default=1.0)
+    sp.add_argument("--K", type=finite_float, default=1.0)
     sp.add_argument("--with-probe", action="store_true")
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("solve", help="march the Dirichlet problem, export CSV")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=finite_float, required=True)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--K", type=float, default=1.0)
-    sp.add_argument("--t0", type=float, default=-1.0)
+    sp.add_argument("--q", type=finite_float, required=True)
+    sp.add_argument("--K", type=finite_float, default=1.0)
+    sp.add_argument("--t0", type=finite_float, default=-1.0)
     sp.add_argument("--data", type=str, default="probe",
                     help="'probe' or 'const:<value>'")
     sp.add_argument("--grid-y", type=int, default=129)
     sp.add_argument("--grid-t", type=int, default=400)
-    sp.add_argument("--eps-reg", type=float, default=1e-8)
-    sp.add_argument("--eps-min", type=float, default=None)
-    sp.add_argument("--c-step", type=float, default=0.5)
+    sp.add_argument("--eps-reg", type=finite_float, default=1e-8)
+    sp.add_argument("--eps-min", type=finite_float, default=None)
+    sp.add_argument("--c-step", type=finite_float, default=0.5)
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_solve)
 
@@ -326,25 +297,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-list", type=str, required=True)
     sp.add_argument("--q-list", type=str, required=True)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--K", type=float, default=1.0)
+    sp.add_argument("--K", type=finite_float, default=1.0)
     sp.add_argument("--with-probe", action="store_true")
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--csv", type=str, default=None)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("scale-check", help="dilation equivariance of the solver")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=finite_float, required=True)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--a", type=float, default=2.0)
-    sp.add_argument("--q", type=float, default=0.5)
-    sp.add_argument("--K", type=float, default=1.0)
-    sp.add_argument("--t0", type=float, default=-1.0)
+    sp.add_argument("--a", type=finite_float, default=2.0)
+    sp.add_argument("--q", type=finite_float, default=0.5)
+    sp.add_argument("--K", type=finite_float, default=1.0)
+    sp.add_argument("--t0", type=finite_float, default=-1.0)
     sp.add_argument("--grid-y", type=int, default=65)
     sp.add_argument("--grid-t", type=int, default=200)
-    sp.add_argument("--eps-reg", type=float, default=1e-8)
-    sp.add_argument("--eps-min", type=float, default=1e-3)
-    sp.add_argument("--c-step", type=float, default=0.5)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--eps-reg", type=finite_float, default=1e-8)
+    sp.add_argument("--eps-min", type=finite_float, default=1e-3)
+    sp.add_argument("--c-step", type=finite_float, default=0.5)
+    sp.add_argument("--tol", type=finite_float, default=1e-3)
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_scale_check)
     return top
@@ -356,7 +327,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DomainError as err:
+        print(f"precondition violated: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except SolverError as err:
+        print(f"solver failure: {err}", file=sys.stderr)
+        return EXIT_SOLVER_FAIL
 
 
 if __name__ == "__main__":

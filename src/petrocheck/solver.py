@@ -20,7 +20,8 @@ shrinking widths, so the upwind side is y - h), a zero-flux symmetry cell at
 y = 0 and a Dirichlet node at y = 1.  Implicit Euler in time with a Newton
 solve of the monotone nonlinear system per step (tridiagonal analytic
 Jacobian, nonmonotone step acceptance that backtracks only on blow-up;
-Picard fallback with frozen flux coefficients).  The one-sided advection and
+Picard fallback with frozen flux coefficients when Newton stalls or every
+backtracking trial fails).  The one-sided advection and
 the strictly increasing regularized flux make each step an M-matrix problem,
 so the scheme obeys a discrete comparison principle up to the nonlinear
 solve tolerance.
@@ -37,9 +38,8 @@ to LAPACK gtsv (Gaussian elimination with partial pivoting, the routine
 scipy's solve_banded calls for one sub- and one super-diagonal), so results
 match solve_banded bit for bit.  A non-finite residual or Jacobian, or a
 singular system, raises SolverError with the step and time.  Each solve
-records its counts (steps, Newton iterations, assemblies, backtracks, blind
-steps, Picard iterations) and the worst accepted scaled residual in
-GridField.meta["stats"].
+records its counts (steps, Newton iterations, assemblies, backtracks, Picard
+iterations) and the worst accepted scaled residual in GridField.meta["stats"].
 
 Time grid: geometric (log-uniform) from t0 down to -eps_min, then each
 interval is subdivided until dt <= c_step * zeta(t)^p, because the
@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -284,8 +284,8 @@ class _Stepper:
 
     `stats` accumulates over the steps taken: every call of `assemble` counts
     as an assembly, so assemblies == steps + newton_iterations + backtracks
-    + blind_steps + picard_iterations (a Newton iteration's first line-search
-    trial is its own assembly; each further trial is a backtrack).
+    + picard_iterations (a Newton iteration's first line-search trial is its
+    own assembly; each further trial is a backtrack).
     """
 
     def __init__(self, profile, p, n, cfg):
@@ -302,8 +302,7 @@ class _Stepper:
         self.y_half0 = self.h / 2.0
         self.axis_h = self.y_half0 * self.h
         self.stats = {"steps": 0, "newton_iterations": 0, "assemblies": 0,
-                      "backtracks": 0, "blind_steps": 0, "picard_iterations": 0,
-                      "worst_residual": 0.0}
+                      "backtracks": 0, "picard_iterations": 0, "worst_residual": 0.0}
 
     def coefficients(self, t_new, dt) -> _StepCoefficients:
         z = float(self.profile.zeta(t_new))
@@ -425,18 +424,16 @@ class _Stepper:
             # converge through transient residual increases, so only damp on
             # blow-up or non-finite trials
             lam = 1.0
-            for tries in range(1, 13):
+            for tries in range(12):
                 trial = v + lam * dv
                 Gt, dphit, gt = self.assemble(trial, vold, c, bc)
-                if math.isfinite(gt) and gt < 5.0 * gnorm:
-                    v, G, dphi, gnorm = trial, Gt, dphit, gt
+                if accepted := math.isfinite(gt) and gt < 5.0 * gnorm:
                     break
                 lam *= 0.5
-            else:
-                v = v + 0.1 * dv
-                G, dphi, gnorm = self.assemble(v, vold, c, bc)
-                stats["blind_steps"] += 1
-            stats["backtracks"] += tries - 1
+            stats["backtracks"] += tries
+            if not accepted:
+                break               # every trial failed: Picard takes the step
+            v, G, dphi, gnorm = trial, Gt, dphit, gt
         return v, gnorm
 
     def _picard(self, v, gnorm, vold, c, bc, step_index, t_new):
@@ -557,12 +554,7 @@ def probe_origin(
         ]
     endpoints, traces, rungs = [], [], []
     for rung in ladder:
-        cfg = SolverConfig(
-            n_y=rung.get("n_y", base.n_y), n_t=rung.get("n_t", base.n_t),
-            eps_min=rung["eps_min"], eps_reg=base.eps_reg, c_step=base.c_step,
-            newton_max=base.newton_max, picard_max=base.picard_max, tol=base.tol,
-            max_steps=base.max_steps,
-        )
+        cfg = replace(base, **rung)
         try:
             fld = solve_dirichlet(profile, p, n, f_probe, cfg)
         except SolverError as err:

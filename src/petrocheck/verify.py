@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierSpec
-from .calculus import SpaceTimeFunction, lambda_of, residual
+from .barriers import BarrierSpec, _family_geometry
+from .calculus import SpaceTimeFunction, residual
 from .domains import DomainProfile
 from .errors import DomainError
 
@@ -37,6 +37,7 @@ __all__ = [
     "check_comparison",
     "reports_to_csv",
     "canonical_json",
+    "stamp",
 ]
 
 SIGN_TOL = 1e-10          # default absolute tolerance of sign certificates
@@ -70,6 +71,16 @@ def canonical_json(obj) -> str:
     return json.dumps(walk(obj), sort_keys=True)
 
 
+def stamp(payload: dict, with_timestamp: bool = False) -> dict:
+    """payload with its report_hash, the sha256 of canonical_json(payload),
+    and, when asked, a generated_at timestamp the hash does not cover."""
+    out = dict(payload)
+    out["report_hash"] = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    if with_timestamp:
+        out["generated_at"] = _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime())
+    return out
+
+
 @dataclass(frozen=True)
 class CertGrid:
     """Tensor sample grid strictly inside a cusp domain.
@@ -98,8 +109,7 @@ class CertGrid:
         }
 
     def hash(self) -> str:
-        payload = self.describe()
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+        return stamp(self.describe())["report_hash"][:16]
 
 
 def make_cert_grid(profile: DomainProfile, n_t: int = 128, n_y: int = 128,
@@ -127,7 +137,7 @@ class CertificateReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self, with_timestamp: bool = False) -> dict:
-        out = {
+        return stamp({
             "subject": self.subject,
             "condition": self.condition,
             "grid": self.grid,
@@ -138,11 +148,7 @@ class CertificateReport:
             "sense": self.sense,
             "finite_sample": self.finite_sample,
             "details": self.details,
-        }
-        out["report_hash"] = hashlib.sha256(canonical_json(out).encode()).hexdigest()
-        if with_timestamp:
-            out["generated_at"] = _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime())
-        return out
+        }, with_timestamp)
 
     def to_json(self, with_timestamp: bool = False) -> str:
         return canonical_json(self.to_dict(with_timestamp=with_timestamp))
@@ -281,7 +287,7 @@ def check_barrier_family(
         raise DomainError("family ladder must have strictly increasing C")
     if grid is None:
         grid = make_cert_grid(profile)
-    lam = lambda_of(p, n)
+    geo = _family_geometry(p, n)
     details: dict = {"ladder_C": Cs, "k_max": k_max}
     worst_overall = np.inf
     worst_loc = None
@@ -289,6 +295,7 @@ def check_barrier_family(
     inconclusive = False
 
     R, T = grid.meshes(profile)
+    kap_chi = geo.kap * geo.chi(R, T)
 
     # (i) positivity + supersolution + sandwich + lower bound per member
     member_reports = []
@@ -299,13 +306,11 @@ def check_barrier_family(
         rep = check_sign(w, profile, p, n, grid=grid, tol=tol, subject=spec.fn.label)
         vals = np.asarray(w(R, T), dtype=float)
         pos_min = float(vals.min())
-        kap = (p - 2.0) / (p * lam ** (1.0 / (p - 1.0)))
-        chi = R ** (p / (p - 1.0)) * (-T) ** (-(p / (p - 1.0)) / lam)
-        Q = C + kap * chi
+        Q = C + kap_chi
         sandwich_lo = float((Q - C).min())
         sandwich_hi = float((2.0 * C - Q).min())
         dh = np.asarray(gauge.delta(T), dtype=float)
-        lower = (1.0 / p) * C ** (1.0 / (p - 2.0)) * dh ** ((p - 1.0) / (p - 2.0)) * (-T) ** (-n / lam)
+        lower = geo.envelope(C, dh, T, scale=1.0 / p)
         lower_margin = float((vals - lower).min())
         ok = (rep.passed and pos_min > 0.0 and sandwich_lo >= -tol
               and sandwich_hi >= -tol and lower_margin >= -tol)
@@ -328,7 +333,7 @@ def check_barrier_family(
     for spec in family:
         w, gauge, C = spec.fn, spec.gauge, spec.constants["C"]
         dh = np.asarray(gauge.delta(t_ray), dtype=float)
-        rho = C ** (1.0 / (p - 2.0)) * dh ** ((p - 1.0) / (p - 2.0)) * (-t_ray) ** (-n / lam)
+        rho = geo.envelope(C, dh, t_ray)
         below = np.inf
         for y in y_ray:
             rv = y * np.asarray(profile.zeta(t_ray), dtype=float)

@@ -20,7 +20,13 @@ from petrocheck.barriers import (
     small_data_amplitude,
     small_data_bound_g,
 )
-from petrocheck.calculus import check_derivatives, residual
+from petrocheck.calculus import (
+    SpaceTimeFunction,
+    barenblatt_function,
+    barenblatt_support_radius,
+    check_derivatives,
+    residual,
+)
 from petrocheck.domains import envelope_gauge, make_profile
 from petrocheck.errors import DomainError
 
@@ -300,9 +306,22 @@ class TestBarrierSpec:
             make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, C=C0, gauge=gauge),
         ]
         pts = [(0.05, -0.8), (0.02, -0.3), (0.01, -0.05)]
-        for spec in kinds:
-            err = check_derivatives(spec.fn, pts)
-            assert err <= 1e-6, (spec.kind, err)
+        fields = [(spec.kind, spec.fn, pts) for spec in kinds]
+        # the smallness bound, on both sides of its clamp at -t = 0.397
+        fields.append(("small_data_bound_g", small_data_bound_g(1.5, 0.25, 2), pts))
+        for p, n in [(3.0, 2), (1.9, 2)]:
+            rs = min(barenblatt_support_radius(1.0, p, n, 1.0), 3.0)
+            fields.append((f"barenblatt(p={p})", barenblatt_function(p, n, 1.0),
+                           [(0.1 * rs, 1.0), (0.5 * rs, 1.3), (0.8 * rs, 0.7)]))
+        for name, u, points in fields:
+            err = check_derivatives(u, points)
+            assert err <= 1e-6, (name, err)
+
+    def test_check_derivatives_sees_a_wrong_drr(self):
+        u = make_barrier("degenerate_irregularity", p=3.0, n=2, C=0.01).fn
+        wrong = SpaceTimeFunction(fn=u.fn, dt=u.dt, dr=u.dr,
+                                  drr=lambda r, t: 1.01 * np.asarray(u.drr(r, t)))
+        assert check_derivatives(wrong, [(0.5, -0.8)]) > 1e-4
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

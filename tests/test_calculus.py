@@ -12,9 +12,12 @@ from petrocheck.calculus import (
     barenblatt_support_radius,
     check_derivatives,
     lambda_of,
+    lift,
+    minimum,
     p_laplacian_radial_fd,
     p_laplacian_radial_power,
     residual,
+    where,
 )
 from petrocheck.errors import DomainError
 
@@ -190,3 +193,44 @@ class TestResidual:
         u = SpaceTimeFunction(fn=lambda r, t: np.asarray(r, dtype=float))
         with pytest.raises(DomainError):
             residual(u, 3.0, 2, 0.5, -0.5, method="closed")
+
+
+class TestJet:
+    @staticmethod
+    def formula(r, t):
+        return (2.0 + r * r * t) ** 1.5 / (1.0 - t) - 3.0 * lift(t, np.exp, np.exp) * r
+
+    def test_derivatives_match_differences(self):
+        u = SpaceTimeFunction.from_formula(self.formula)
+        pts = [(0.3, -0.5), (1.2, -0.1), (0.7, -2.0)]
+        assert check_derivatives(u, pts) <= 1e-6
+        r, t = 0.7, -0.5
+        g = 2.0 + r * r * t
+        assert u.dr(r, t) == pytest.approx(
+            1.5 * g ** 0.5 * 2.0 * r * t / (1.0 - t) - 3.0 * math.exp(t), rel=1e-14)
+        assert u.drr(r, t) == pytest.approx(
+            (0.75 * g ** -0.5 * (2.0 * r * t) ** 2 + 3.0 * g ** 0.5 * t) / (1.0 - t),
+            rel=1e-14)
+
+    def test_values_are_the_formula_on_arrays(self):
+        R, T = np.meshgrid(np.linspace(0.1, 1.0, 7), np.linspace(-1.0, -0.1, 5))
+        u = SpaceTimeFunction.from_formula(self.formula)
+        assert np.array_equal(u.fn(R, T), self.formula(R, T))
+        assert isinstance(u.fn(0.5, -0.5), float)
+
+    def test_branches_carry_their_own_derivatives(self):
+        u = SpaceTimeFunction.from_formula(
+            lambda r, t: where(r > 0.6, 1.0 + 0.0 * r, minimum(r * r, 0.25)))
+        r = np.array([0.3, 0.55, 0.8])
+        ut, ur, urr = u.derivatives(r, -1.0)
+        assert list(ur) == [0.6, 0.0, 0.0]
+        assert list(urr) == [2.0, 0.0, 0.0]
+        assert list(ut) == [0.0, 0.0, 0.0]
+
+    def test_r_free_formula_has_zero_radial_derivatives_of_full_shape(self):
+        u = SpaceTimeFunction.from_formula(lambda r, t: (-t) ** 0.5)
+        ut, ur, urr = u.derivatives(np.linspace(0.1, 1.0, 4), np.full(4, -0.25))
+        assert ut.tolist() == [-1.0] * 4
+        assert ur.shape == urr.shape == (4,)
+        assert not ur.any() and not urr.any()
+        assert residual(u, 3.0, 2, 0.5, -0.25) == -1.0

@@ -28,6 +28,13 @@ class TestLemmaCheck:
         assert lines[0].startswith("C,alpha,r")
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    def test_non_finite_p_usage_error(self, p, capsys):
+        assert run(["lemma-check", f"--p={p}", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestBarenblattCheck:
     def test_pass(self):
@@ -35,6 +42,10 @@ class TestBarenblattCheck:
 
     def test_bad_lambda_is_usage_error(self):
         assert run(["barenblatt-check", "--p", "1.2", "--n", "2"]) == 1
+
+    def test_non_finite_C_usage_error(self, capsys):
+        assert run(["barenblatt-check", "--p", "3", "--C", "nan"]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -54,6 +65,12 @@ class TestVerify:
                     "--n", "2", "--C", "0.03"])
         assert code == 1
         assert "c_max" in capsys.readouterr().err
+
+    def test_non_finite_C_usage_error(self, capsys):
+        code = run(["verify", "--kind", "degenerate_irregularity", "--p", "3",
+                    "--n", "2", "--C", "nan"])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_small_data_passes(self, tmp_path):
         out = tmp_path / "cert.json"

@@ -176,8 +176,7 @@ def smooth_data(r, t):
 
 def assert_one_assembly_per_iterate(stats):
     assert stats["assemblies"] == (stats["steps"] + stats["newton_iterations"]
-                                   + stats["backtracks"] + stats["blind_steps"]
-                                   + stats["picard_iterations"])
+                                   + stats["backtracks"] + stats["picard_iterations"])
 
 
 class TestSolverStats:
@@ -202,6 +201,46 @@ class TestSolverStats:
         assert stats["worst_residual"] <= 1e-11
         assert_one_assembly_per_iterate(stats)
         assert np.max(np.abs(picard.values - newton.values)) < 1e-10
+
+    def test_default_probe_rung_reaches_picard(self):
+        # third rung of the default probe ladder on (p, q, n) = (1.5, 0.3, 1):
+        # Newton oscillates near scaled |G| = 1e-6 at one step and Picard
+        # converges there
+        prof = make_profile("power", K=1.0, q=0.3, t0=-1.0)
+        fld = solve_dirichlet(prof, 1.5, 1, default_probe,
+                              SolverConfig(n_y=129, n_t=800, eps_min=1e-4))
+        stats = fld.meta["stats"]
+        assert stats["picard_iterations"] > 0
+        assert stats["worst_residual"] <= 1e-11
+        assert_one_assembly_per_iterate(stats)
+        assert fld.check_max_principle()[0]
+        assert fld.values[-1, 0] == pytest.approx(0.9989118710573514, rel=0, abs=1e-12)
+
+    def test_failed_line_search_hands_the_step_to_picard(self, power_profile):
+        class Blocked(_Stepper):
+            """Reports a non-finite residual for the first Newton iteration's
+            twelve line-search trials (assemblies 2 to 13)."""
+
+            calls = 0
+
+            def assemble(self, v, vold, c, bc):
+                G, dphi, gnorm = super().assemble(v, vold, c, bc)
+                self.calls += 1
+                return G, dphi, (np.inf if 2 <= self.calls <= 13 else gnorm)
+
+        cfg = SolverConfig(n_y=33)
+        vold = smooth_data(np.linspace(0.0, 1.0, 33) * power_profile.zeta(-0.5), -0.5)
+        bc = float(smooth_data(power_profile.zeta(-0.49), -0.49))
+        blocked = Blocked(power_profile, 2.2, 1, cfg)
+        v = blocked.step(vold, -0.49, 0.01, bc, 1)
+        stats = blocked.stats
+        assert stats["newton_iterations"] == 1
+        assert stats["backtracks"] == 11
+        assert stats["picard_iterations"] > 0
+        assert stats["worst_residual"] <= cfg.tol
+        assert_one_assembly_per_iterate(stats)
+        plain = _Stepper(power_profile, 2.2, 1, cfg).step(vold, -0.49, 0.01, bc, 1)
+        assert np.max(np.abs(v - plain)) < 1e-10
 
 
 class TestNonFinite:
