@@ -327,9 +327,8 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
     )
 
 
-def find_family_threshold(p: float, n: int, gauge: Gauge,
-                          c_start: float = 1.0, max_doublings: int = 60):
-    """Smallest doubling C = c_start 2^j making w_C a certified supersolution.
+def find_family_threshold(p: float, n: int, gauge: Gauge):
+    """Smallest doubling C = 2^j, j < 60, making w_C a certified supersolution.
 
     The supersolution proof needs three sampled conditions on the gauge grid
     (all monotone in C, so a doubling search terminates):
@@ -366,8 +365,8 @@ def find_family_threshold(p: float, n: int, gauge: Gauge,
               - (n / lam) * C ** m * d / (-ts))           # >= 0 wanted
         return float(a.min()), float(b.min()), float(h.min())
 
-    C = float(c_start)
-    for _ in range(max_doublings):
+    C = 1.0
+    for _ in range(60):
         ma, mb, mh = margins(C)
         scale = max(1.0, C)
         if ma >= -tol * scale and mb >= -tol * scale and mh >= -tol * scale:
@@ -391,8 +390,6 @@ class BarrierSpec:
     def reference_profile(self) -> DomainProfile:
         """The domain on which the construction's inequalities are certified."""
         p = self.params
-        if self.kind == "degenerate_irregularity":
-            return make_profile("power", K=1.0, q=1.0 / p.p, t0=p.t0)
         K = p.K if p.K is not None else 1.0
         return make_profile("power", K=K, q=p.q, t0=p.t0)
 

@@ -93,13 +93,6 @@ class Params:
         return lambda_of(self.p, self.n)
 
     @property
-    def alpha(self) -> float:
-        """p/(p-2); the radial power with r-homogeneous p-Laplacian (p != 2)."""
-        if self.p == 2:
-            raise DomainError("alpha = p/(p-2) is undefined at p = 2")
-        return self.p / (self.p - 2.0)
-
-    @property
     def beta(self) -> float:
         """n(p-2)/lambda, the gauge monotonization weight."""
         return self.n * (self.p - 2.0) / self.lam
@@ -108,13 +101,6 @@ class Params:
     def gamma(self) -> float:
         """beta/(p-1) < beta; exponent in the vanishing-gauge criterion."""
         return self.beta / (self.p - 1.0)
-
-    def require_barenblatt_scale(self):
-        if self.lam <= 0:
-            raise DomainError(
-                f"lambda = n(p-2)+p = {self.lam} must be positive "
-                f"(needs p > 2n/(n+1) for p < 2)"
-            )
 
 
 def _is(x, c):
@@ -310,12 +296,10 @@ class SpaceTimeFunction:
         return self.dt(r, t), self.dr(r, t), self.drr(r, t)
 
 
-def _phi(s, p, eps=0.0):
-    """Degenerate flux |s|^(p-2) s, optionally regularized to (s^2+eps^2)^((p-2)/2) s."""
+def _phi(s, p):
+    """Degenerate flux |s|^(p-2) s."""
     s = np.asarray(s, dtype=float)
-    if eps == 0.0:
-        return np.sign(s) * np.abs(s) ** (p - 1.0)
-    return (s * s + eps * eps) ** ((p - 2.0) / 2.0) * s
+    return np.sign(s) * np.abs(s) ** (p - 1.0)
 
 
 def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.ndarray:
@@ -346,14 +330,12 @@ def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.
 
 
 def p_laplacian_radial_fd(
-    u, p: float, n: int, r: float, t: float, h: float = 1e-4, eps: float = 0.0
+    u, p: float, n: int, r: float, t: float, h: float = 1e-4
 ) -> float:
     """Second-order conservative finite-difference oracle for Lap_p u at (r, t).
 
     Discretizes r^(1-n) d/dr ( r^(n-1) |u_r|^(p-2) u_r ) with centered slopes
     at the half points r +- h/2.  Independent of any closed form attached to u.
-    The regularization eps (used as (s^2+eps^2)^((p-2)/2)) is meant for p < 2
-    when the sampled slope may vanish; default 0 keeps the flux exact.
     Meaningless at points where u is not smooth; the caller must keep h < r/2.
     """
     if not (0 < h < r / 2):
@@ -362,8 +344,8 @@ def p_laplacian_radial_fd(
     up, u0, um = fn(r + h, t), fn(r, t), fn(r - h, t)
     s_plus = (up - u0) / h
     s_minus = (u0 - um) / h
-    f_plus = (r + h / 2.0) ** (n - 1) * _phi(s_plus, p, eps)
-    f_minus = (r - h / 2.0) ** (n - 1) * _phi(s_minus, p, eps)
+    f_plus = (r + h / 2.0) ** (n - 1) * _phi(s_plus, p)
+    f_minus = (r - h / 2.0) ** (n - 1) * _phi(s_minus, p)
     return float(r ** (1 - n) * (f_plus - f_minus) / h)
 
 
@@ -437,7 +419,6 @@ def residual(
     t,
     method: str = "auto",
     h: float = 1e-4,
-    eps: float = 0.0,
 ):
     """Pointwise residual du/dt - Lap_p u of a smooth radial field.
 
@@ -459,10 +440,7 @@ def residual(
         ut, ur, urr = (np.asarray(d, dtype=float) for d in u.derivatives(r, t))
         flat = (ur == 0.0) & (urr == 0.0)  # locally constant branch: Lap_p = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            if eps == 0.0:
-                grad = np.where(flat, 0.0, np.abs(ur) ** (p - 2.0))
-            else:
-                grad = (ur * ur + eps * eps) ** ((p - 2.0) / 2.0)
+            grad = np.where(flat, 0.0, np.abs(ur) ** (p - 2.0))
             lap = (p - 1.0) * grad * urr + (n - 1.0) / r * grad * ur
         lap = np.where(flat, 0.0, lap)
         return _unwrap(ut - lap)
@@ -477,7 +455,7 @@ def residual(
             ri, ti = float(rs[idx]), float(ts[idx])
             ht = h * max(abs(ti), 1.0)
             dtu = (u.fn(ri, ti + ht) - u.fn(ri, ti - ht)) / (2.0 * ht)
-            lap = p_laplacian_radial_fd(u, p, n, ri, ti, h=min(h, ri / 4.0), eps=eps)
+            lap = p_laplacian_radial_fd(u, p, n, ri, ti, h=min(h, ri / 4.0))
             out[idx] = dtu - lap
         return out if np.ndim(r) or np.ndim(t) else float(out.reshape(-1)[0])
     raise ValueError(f"unknown method {method!r}")

@@ -160,7 +160,11 @@ def cmd_solve(args) -> int:
     if args.data == "probe":
         f = sol.default_probe
     elif args.data.startswith("const:"):
-        cval = float(args.data.split(":", 1)[1])
+        try:
+            cval = finite_float(args.data.split(":", 1)[1])
+        except argparse.ArgumentTypeError as err:
+            print(f"usage error: --data {args.data!r}: {err}", file=sys.stderr)
+            return EXIT_USAGE
         f = lambda r, t: cval + 0.0 * np.asarray(r, dtype=float)
     else:
         print(f"usage error: unknown --data {args.data!r}", file=sys.stderr)
@@ -214,7 +218,7 @@ def cmd_sweep(args) -> int:
 def cmd_scale_check(args) -> int:
     """Dilation equivariance of the discrete solver."""
     profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
-    rep = ver.check_scaling_equivariance(None, profile, args.p, args.a,
+    rep = ver.check_scaling_equivariance(profile, args.p, args.a,
                                          cfg=_solver_config(args), n=args.n, tol=args.tol)
     payload = {"command": "scale-check",
                "config": {"p": args.p, "n": args.n, "a": args.a, "q": args.q,

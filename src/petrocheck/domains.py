@@ -29,12 +29,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .calculus import lambda_of
+from .calculus import Params
 from .errors import DomainError
 
 __all__ = [
@@ -52,6 +53,18 @@ __all__ = [
 ]
 
 _STRICT_MARGIN = 1e-9  # relative margin enforcing strict "<" constraints
+
+
+def _power_law(amp: float, expo: float):
+    """f(t) = amp (-t)^expo and its derivative f'."""
+
+    def f(t):
+        return amp * (-np.asarray(t, dtype=float)) ** expo
+
+    def df(t):
+        return -amp * expo * (-np.asarray(t, dtype=float)) ** (expo - 1.0)
+
+    return f, df
 
 
 def geometric_times(t0: float, n: int = 200, sigma: float = 0.9) -> np.ndarray:
@@ -116,13 +129,7 @@ def make_profile(kind: str, K: float, q: Optional[float] = None, t0: float = -1.
     if kind == "power":
         if q is None or q <= 0:
             raise DomainError(f"power profile needs q > 0, got {q}")
-
-        def zeta(t):
-            return K * (-np.asarray(t, dtype=float)) ** q
-
-        def dzeta(t):
-            return -K * q * (-np.asarray(t, dtype=float)) ** (q - 1.0)
-
+        zeta, dzeta = _power_law(K, q)
         return DomainProfile(kind="power", t0=t0, zeta=zeta, dzeta=dzeta, K=K, q=q)
 
     if kind == "petrovskii_loglog":
@@ -200,23 +207,42 @@ class Gauge:
 
     delta/ddelta are callables on (t0, 0); monotone_flag records whether
     (-t)^(-beta) delta(t) is nondecreasing (verified on the stored samples).
-    vanishes records the sampled verdict on (-t)^(-gamma) delta(t) -> 0,
-    the criterion equivalent to (-t)^(-1/p) zeta(t) -> 0.
-    theta is the sampled minimum of (-t)^(-beta) delta(t) over t0/2 < t < 0,
-    the positive floor used by the barrier-family growth estimate.
+    The sampled values below are derived from delta on t_samples.
     """
 
     delta: Callable
     beta: float
-    gamma: float
+    gamma: Optional[float]
     t0: float
     ddelta: Optional[Callable] = None
     monotone_flag: bool = False
-    vanishes: Optional[bool] = None
     t_samples: Optional[np.ndarray] = None
-    delta_samples: Optional[np.ndarray] = None
-    theta: Optional[float] = None
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def delta_samples(self) -> np.ndarray:
+        return self.delta(self.t_samples)
+
+    @cached_property
+    def theta(self) -> float:
+        """Sampled minimum of (-t)^(-beta) delta(t) over t0/2 < t < 0 (over
+        all samples if none lies there), the positive floor used by the
+        barrier-family growth estimate."""
+        ts = self.t_samples
+        w = (-ts) ** (-self.beta) * self.delta_samples
+        half = ts > self.t0 / 2.0
+        return float(np.min(w[half] if np.any(half) else w))
+
+    @cached_property
+    def vanishes(self) -> Optional[bool]:
+        """Sampled verdict on (-t)^(-gamma) delta(t) -> 0, the criterion
+        equivalent to (-t)^(-1/p) zeta(t) -> 0; None without gamma."""
+        if self.gamma is None:
+            return None
+        vals = (-self.t_samples) ** (-self.gamma) * self.delta_samples
+        tail = vals[-max(8, vals.size // 8):]
+        dec = np.all(np.diff(tail) <= 1e-12 * np.maximum(1.0, np.abs(tail[:-1])))
+        return bool(dec and tail[-1] < 0.05 * max(vals[0], 1e-300))
 
     def weighted(self, t):
         return (-np.asarray(t, dtype=float)) ** (-self.beta) * self.delta(t)
@@ -229,40 +255,27 @@ class Gauge:
         return bool(np.all(np.diff(w) >= -tol))
 
 
-def _vanishes_on_samples(t: np.ndarray, vals: np.ndarray) -> bool:
-    """Sampled verdict for vals -> 0 as t -> 0-: tail decreasing and small."""
-    tail = vals[-max(8, vals.size // 8):]
-    dec = np.all(np.diff(tail) <= 1e-12 * np.maximum(1.0, np.abs(tail[:-1])))
-    return bool(dec and tail[-1] < 0.05 * max(vals[0], 1e-300))
-
-
-def gauge_of(profile: DomainProfile, p: float, n: int,
-             n_samples: int = 200, sigma: float = 0.9) -> Gauge:
+def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
     """Raw gauge delta = (zeta/(-t)^(1/lam))^(p/(p-1)) of a profile.
 
-    Sampled on a geometric time grid to resolve the t -> 0- limit; for power
-    profiles the closed form and its derivative are attached exactly.
+    Sampled on geometric_times(t0) to resolve the t -> 0- limit; for power
+    profiles the closed form delta = amp (-t)^exp and its derivative are
+    attached exactly, with amp and exp in meta.
     """
-    lam = lambda_of(p, n)
+    pars = Params(p=p, n=n)
+    lam, beta = pars.lam, pars.beta
     if lam <= 0:
         raise DomainError(f"lambda = {lam} must be positive")
     pp = p / (p - 1.0)
-    beta = n * (p - 2.0) / lam
-    gamma = beta / (p - 1.0)
-    ts = geometric_times(profile.t0, n=n_samples, sigma=sigma)
+    ts = geometric_times(profile.t0)
+    meta = {"p": p, "n": n, "lambda": lam, "kind": profile.kind}
 
     if profile.kind == "power":
         Kd = profile.K ** pp
         e = (profile.q - 1.0 / lam) * pp
-
-        def delta(t):
-            return Kd * (-np.asarray(t, dtype=float)) ** e
-
-        def ddelta(t):
-            return -Kd * e * (-np.asarray(t, dtype=float)) ** (e - 1.0)
-
-        dsamp = delta(ts)
+        delta, ddelta = _power_law(Kd, e)
         monotone = e <= beta + 1e-15
+        meta |= {"amp": Kd, "exp": e}
     else:
         zeta = profile.zeta
 
@@ -271,20 +284,11 @@ def gauge_of(profile: DomainProfile, p: float, n: int,
             return (zeta(t) / (-t) ** (1.0 / lam)) ** pp
 
         ddelta = None
-        dsamp = delta(ts)
-        w = (-ts) ** (-beta) * dsamp
+        w = (-ts) ** (-beta) * delta(ts)
         monotone = bool(np.all(np.diff(w) >= -1e-12 * np.maximum(1.0, w[:-1])))
 
-    gvals = (-ts) ** (-gamma) * dsamp
-    wvals = (-ts) ** (-beta) * dsamp
-    half = ts > profile.t0 / 2.0
-    theta = float(np.min(wvals[half])) if np.any(half) else float(np.min(wvals))
-    return Gauge(
-        delta=delta, beta=beta, gamma=gamma, t0=profile.t0, ddelta=ddelta,
-        monotone_flag=monotone, vanishes=_vanishes_on_samples(ts, gvals),
-        t_samples=ts, delta_samples=dsamp, theta=theta,
-        meta={"p": p, "n": n, "lambda": lam, "kind": profile.kind},
-    )
+    return Gauge(delta=delta, beta=beta, gamma=pars.gamma, t0=profile.t0, ddelta=ddelta,
+                 monotone_flag=monotone, t_samples=ts, meta=meta)
 
 
 def running_sup(values) -> np.ndarray:
@@ -309,7 +313,8 @@ def monotone_smooth_envelope(t_samples, delta_tilde, beta: float) -> Gauge:
     margin, and (-t)^(-beta) delta_hat = exp(G_hat(s)) is nondecreasing in t
     because the interpolant preserves the slope sign.  Outside the sampled
     range G_hat is continued as a constant, which keeps monotonicity and the
-    vanishing behavior (-t)^(-gamma) delta_hat -> 0 when beta > gamma.
+    vanishing behavior (-t)^(-gamma) delta_hat -> 0 when beta > gamma.  The
+    envelope does not know p, so its gamma (and vanishes) is None.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     dt_ = np.asarray(delta_tilde, dtype=float)
@@ -360,73 +365,38 @@ def monotone_smooth_envelope(t_samples, delta_tilde, beta: float) -> Gauge:
         val = np.exp(_gh(sv) + beta * sv) * (_dgh(sv) + beta) * (-1.0 / (-t))
         return val if val.ndim else float(val)
 
-    dhat = delta(t_samples)
-    gamma = beta  # caller may not know p here; stored for reference only
-    half = t_samples > t_samples[0] / 2.0
-    wh = (-t_samples) ** (-beta) * dhat
-    theta = float(np.min(wh[half])) if np.any(half) else float(np.min(wh))
     return Gauge(
-        delta=delta, beta=beta, gamma=gamma, t0=float(t_samples[0]), ddelta=ddelta,
-        monotone_flag=True, vanishes=None,
-        t_samples=t_samples, delta_samples=dhat, theta=theta,
+        delta=delta, beta=beta, gamma=None, t0=float(t_samples[0]), ddelta=ddelta,
+        monotone_flag=True, t_samples=t_samples,
         meta={"envelope_of": "delta_tilde", "shift": shift},
     )
 
 
-def envelope_gauge(profile: DomainProfile, p: float, n: int,
-                   n_samples: int = 200, sigma: float = 0.9) -> Gauge:
+def envelope_gauge(profile: DomainProfile, p: float, n: int) -> Gauge:
     """Smooth monotone envelope gauge of a profile, ready for barrier families.
 
     Pipeline: raw gauge -> running sup of the weighted form -> 1.5x envelope.
     Power profiles take a closed-form shortcut (the monotonized gauge is again
     an exact power law, so delta_hat = 1.5 delta_tilde with exact derivative).
     """
-    lam = lambda_of(p, n)
-    if lam <= 0:
-        raise DomainError(f"lambda = {lam} must be positive")
-    raw = gauge_of(profile, p, n, n_samples=n_samples, sigma=sigma)
-    beta, gamma = raw.beta, raw.gamma
-
+    raw = gauge_of(profile, p, n)
+    beta, ts = raw.beta, raw.t_samples
     if profile.kind == "power":
-        pp = p / (p - 1.0)
-        Kd = profile.K ** pp
-        e = (profile.q - 1.0 / lam) * pp
+        Kd, e = raw.meta["amp"], raw.meta["exp"]
         if e <= beta:
             amp, expo = 1.5 * Kd, e
         else:
             # weighted gauge decreases; its sup over (t0, t] is the left-end value
             amp, expo = 1.5 * Kd * (-profile.t0) ** (e - beta), beta
-
-        def delta(t):
-            return amp * (-np.asarray(t, dtype=float)) ** expo
-
-        def ddelta(t):
-            return -amp * expo * (-np.asarray(t, dtype=float)) ** (expo - 1.0)
-
-        ts = raw.t_samples
-        dhat = delta(ts)
-        wh = (-ts) ** (-beta) * dhat
-        half = ts > profile.t0 / 2.0
-        theta = float(np.min(wh[half]))
-        gvals = (-ts) ** (-gamma) * dhat
-        return Gauge(
-            delta=delta, beta=beta, gamma=gamma, t0=profile.t0, ddelta=ddelta,
-            monotone_flag=True, vanishes=_vanishes_on_samples(ts, gvals),
-            t_samples=ts, delta_samples=dhat, theta=theta,
-            meta={"p": p, "n": n, "lambda": lam, "kind": "power", "amp": amp, "exp": expo},
-        )
-
-    h = raw.weighted(raw.t_samples)
-    h_tilde = running_sup(h)
-    delta_tilde = (-raw.t_samples) ** beta * h_tilde
-    env = monotone_smooth_envelope(raw.t_samples, delta_tilde, beta)
-    gvals = (-raw.t_samples) ** (-gamma) * env.delta(raw.t_samples)
-    return Gauge(
-        delta=env.delta, beta=beta, gamma=gamma, t0=profile.t0, ddelta=env.ddelta,
-        monotone_flag=True, vanishes=_vanishes_on_samples(raw.t_samples, gvals),
-        t_samples=env.t_samples, delta_samples=env.delta_samples, theta=env.theta,
-        meta={"p": p, "n": n, "lambda": lam, "kind": profile.kind, "envelope": True},
-    )
+        delta, ddelta = _power_law(amp, expo)
+        extra = {"amp": amp, "exp": expo}
+    else:
+        delta_tilde = (-ts) ** beta * running_sup(raw.weighted(ts))
+        env = monotone_smooth_envelope(ts, delta_tilde, beta)
+        delta, ddelta = env.delta, env.ddelta
+        extra = {"envelope": True}
+    return Gauge(delta=delta, beta=beta, gamma=raw.gamma, t0=profile.t0, ddelta=ddelta,
+                 monotone_flag=True, t_samples=ts, meta=raw.meta | extra)
 
 
 def scale_domain(profile: DomainProfile, a: float, p: float):

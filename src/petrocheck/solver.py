@@ -49,17 +49,17 @@ No data is ever imposed at t = 0; marching stops at -eps_min.
 probe_origin drives the tip-attainment experiment: with boundary data that
 isolate the tip value, the axis trace u(0, t -> 0-) either collapses to the
 tip datum (regular behavior) or stalls at a gap (irregular behavior); the
-trend thresholds are declared, configurable plumbing and are reported
-verbatim.  classify returns the exact regularity table for power cusps:
-p > 2 regular iff q > 1/p, p = 2 regular iff q >= 1/2, and for p < 2 regular
-if q > 1/p, irregular if q < 1/p, with the borderline q = 1/p left Unknown.
+boundary datum is default_probe, and the trend thresholds are the declared
+constants PROBE_THRESHOLDS, reported verbatim.  classify returns the exact
+regularity table for power cusps: p > 2 regular iff q > 1/p, p = 2 regular
+iff q >= 1/2, and for p < 2 regular if q > 1/p, irregular if q < 1/p, with
+the borderline q = 1/p left Unknown.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -83,15 +83,19 @@ __all__ = [
     "probe_origin",
     "default_probe",
     "classify",
-    "ProbeThresholds",
+    "PROBE_THRESHOLDS",
 ]
 
 _BORDERLINE_RTOL = 1e-12  # |q - 1/p| below this counts as the borderline case
 
+# Declared trend thresholds of the tip probe, reported verbatim with its result
+PROBE_THRESHOLDS = {"attains_endpoint": 0.1, "attains_ratio": 0.8,
+                    "gap_floor": 0.2, "gap_rel_change": 0.1}
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid and nonlinear-solve settings; JSON round-trippable."""
+    """Grid and nonlinear-solve settings."""
 
     n_y: int = 129
     n_t: int = 400
@@ -105,23 +109,6 @@ class SolverConfig:
 
     def resolved_eps_min(self, t0: float) -> float:
         return self.eps_min if self.eps_min is not None else 1e-4 * abs(t0)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolverConfig":
-        return cls(**json.loads(text))
-
-
-@dataclass(frozen=True)
-class ProbeThresholds:
-    """Declared trend thresholds for the tip probe (reported verbatim)."""
-
-    attains_endpoint: float = 0.1
-    attains_ratio: float = 0.8
-    gap_floor: float = 0.2
-    gap_rel_change: float = 0.1
 
 
 @dataclass
@@ -138,9 +125,6 @@ class GridField:
     @property
     def axis_trace(self) -> np.ndarray:
         return self.values[:, 0]
-
-    def r_nodes(self, k: int) -> np.ndarray:
-        return self.y_nodes * float(self.profile.zeta(self.t_nodes[k]))
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -164,7 +148,6 @@ class RegularityVerdict:
     theorem_verdict: str                    # Regular | Irregular | Unknown
     numeric_trace: Optional[list] = None    # [(t, u(0,t)), ...]
     numeric_trend: Optional[str] = None     # attains | gap | inconclusive
-    certificate_refs: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -172,7 +155,7 @@ class RegularityVerdict:
             "theorem_verdict": self.theorem_verdict,
             "numeric_trend": self.numeric_trend,
             "numeric_trace": self.numeric_trace,
-            "certificate_refs": list(self.certificate_refs),
+            "certificate_refs": [],         # kept so report hashes do not move
             "meta": dict(sorted(self.meta.items())),
         }
 
@@ -513,8 +496,8 @@ def solve_dirichlet(
 def default_probe(r, t):
     """Boundary datum isolating the tip: min{1, |(x,t)|/0.1}, so f(0,0) = 0.
 
-    Declared plumbing (any continuous datum with an isolated tip value works);
-    swappable via the f_probe argument of probe_origin.
+    The datum of every probe_origin run; any continuous datum with an
+    isolated tip value would do.
     """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -526,15 +509,13 @@ def probe_origin(
     profile: DomainProfile,
     p: float,
     n: int,
-    f_probe: Optional[Callable] = None,
     ladder: Optional[list] = None,
-    thresholds: ProbeThresholds = ProbeThresholds(),
-    base_cfg: Optional[SolverConfig] = None,
 ) -> dict:
     """Tip-attainment probe across a refinement ladder.
 
     Each rung solves down to its eps_min and records the axis endpoint
-    u(0, -eps_min).  Trend rules (declared in `thresholds`):
+    u(0, -eps_min) under the boundary datum default_probe.  Trend rules
+    (declared in PROBE_THRESHOLDS):
 
       attains: last endpoint < attains_endpoint and every successive
                endpoint ratio < attains_ratio (the trace keeps collapsing
@@ -544,8 +525,7 @@ def probe_origin(
                level);
       inconclusive otherwise (including any failed rung).
     """
-    f_probe = f_probe or default_probe
-    base = base_cfg or SolverConfig()
+    th = PROBE_THRESHOLDS
     if ladder is None:
         ladder = [
             {"eps_min": 1e-2 * abs(profile.t0), "n_y": 65, "n_t": 200},
@@ -554,12 +534,12 @@ def probe_origin(
         ]
     endpoints, traces, rungs = [], [], []
     for rung in ladder:
-        cfg = replace(base, **rung)
+        cfg = SolverConfig(**rung)
         try:
-            fld = solve_dirichlet(profile, p, n, f_probe, cfg)
+            fld = solve_dirichlet(profile, p, n, default_probe, cfg)
         except SolverError as err:
             return {"trend": "inconclusive", "endpoints": endpoints,
-                    "error": str(err), "thresholds": asdict(thresholds),
+                    "error": str(err), "thresholds": dict(th),
                     "rungs": rungs, "trace": traces[-1] if traces else None}
         endpoints.append(float(fld.values[-1, 0]))
         keep = np.unique(np.linspace(0, fld.t_nodes.size - 1, 64).astype(int))
@@ -572,14 +552,14 @@ def probe_origin(
     if len(endpoints) >= 2:
         e = np.abs(np.array(endpoints))
         ratios = e[1:] / np.maximum(e[:-1], 1e-300)
-        if e[-1] < thresholds.attains_endpoint and np.all(ratios < thresholds.attains_ratio):
+        if e[-1] < th["attains_endpoint"] and np.all(ratios < th["attains_ratio"]):
             trend = "attains"
         else:
             rel = abs(e[-1] - e[-2]) / max(e[-1], e[-2], 1e-300)
-            if e[-1] >= thresholds.gap_floor and rel <= thresholds.gap_rel_change:
+            if e[-1] >= th["gap_floor"] and rel <= th["gap_rel_change"]:
                 trend = "gap"
     return {"trend": trend, "endpoints": endpoints, "rungs": rungs,
-            "thresholds": asdict(thresholds), "trace": traces[-1]}
+            "thresholds": dict(th), "trace": traces[-1]}
 
 
 def classify(
@@ -589,7 +569,6 @@ def classify(
     K: float = 1.0,
     with_probe: bool = False,
     ladder: Optional[list] = None,
-    certificate_refs: Optional[list] = None,
 ) -> RegularityVerdict:
     """Exact regularity verdict for the power cusp |x| < K(-t)^q at the tip.
 
@@ -644,5 +623,5 @@ def classify(
             meta["probe_warning"] = str(err)
     return RegularityVerdict(
         theorem_verdict=verdict, numeric_trace=trace, numeric_trend=trend,
-        certificate_refs=certificate_refs or [], meta=meta,
+        meta=meta,
     )

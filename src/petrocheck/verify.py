@@ -24,8 +24,9 @@ import numpy as np
 
 from .barriers import BarrierSpec, _family_geometry
 from .calculus import SpaceTimeFunction, residual
-from .domains import DomainProfile
+from .domains import DomainProfile, scale_domain
 from .errors import DomainError
+from .solver import SolverConfig, solve_dirichlet
 
 __all__ = [
     "CertificateReport",
@@ -40,8 +41,10 @@ __all__ = [
     "stamp",
 ]
 
-SIGN_TOL = 1e-10          # default absolute tolerance of sign certificates
-SOLVER_CHECK_TOL = 1e-6   # default tolerance of solver-based checks
+SIGN_TOL = 1e-10          # absolute tolerance of sign certificates
+_T_MIN_FRAC = 1e-6        # certificate grids reach down to t = _T_MIN_FRAC * t0
+_N_BOUNDARY = 256         # family certificate: samples on each boundary part
+_N_RAYS = 8               # family certificate: decay rays
 
 
 def _fmt_float(x):
@@ -85,7 +88,7 @@ def stamp(payload: dict, with_timestamp: bool = False) -> dict:
 class CertGrid:
     """Tensor sample grid strictly inside a cusp domain.
 
-    n_t geometric time levels t_k spanning (t0, 0) down to t_min_frac*|t0|,
+    n_t geometric time levels t_k spanning (t0, 0) down to 1e-6*|t0|,
     n_y uniform relative radii at cell midpoints y_i = (i - 1/2)/n_y in (0, 1)
     (the y = 0 axis row is excluded; radial formulas are singular there and
     axis behavior is certified separately through the symmetry limit).
@@ -112,10 +115,9 @@ class CertGrid:
         return stamp(self.describe())["report_hash"][:16]
 
 
-def make_cert_grid(profile: DomainProfile, n_t: int = 128, n_y: int = 128,
-                   t_min_frac: float = 1e-6) -> CertGrid:
+def make_cert_grid(profile: DomainProfile, n_t: int = 128, n_y: int = 128) -> CertGrid:
     t0 = profile.t0
-    ratio = t_min_frac ** (np.arange(1, n_t + 1) / n_t)
+    ratio = _T_MIN_FRAC ** (np.arange(1, n_t + 1) / n_t)
     t_levels = t0 * ratio
     y_levels = (np.arange(1, n_y + 1) - 0.5) / n_y
     return CertGrid(t_levels=t_levels, y_levels=y_levels)
@@ -179,14 +181,11 @@ def check_sign(
     p: float,
     n: int,
     grid: Optional[CertGrid] = None,
-    sense: str = ">=0",
-    tol: float = SIGN_TOL,
-    subject: str = "",
 ) -> CertificateReport:
     """Residual sign certificate of du/dt - Lap_p u over a cusp sample grid.
 
-    sense ">=0" certifies supersolution behavior (worst_violation is the grid
-    minimum of the residual; pass iff it is >= -tol); sense "<=0" is the dual.
+    Certifies supersolution behavior: worst_violation is the grid minimum of
+    the residual, and the certificate passes iff it is >= -SIGN_TOL.
     """
     if grid is None:
         grid = make_cert_grid(profile)
@@ -205,16 +204,9 @@ def check_sign(
     # a non-finite residual inside the domain fails the certificate; only
     # points outside the domain are skipped
     non_finite = np.flatnonzero(inside.reshape(-1) & ~valid)
-    if sense == ">=0":
-        idx = int(np.nanargmin(flat))
-        worst = float(flat[idx])
-        passed = worst >= -tol
-    elif sense == "<=0":
-        idx = int(np.nanargmax(flat))
-        worst = float(flat[idx])
-        passed = worst <= tol
-    else:
-        raise DomainError(f"sense must be '>=0' or '<=0', got {sense!r}")
+    idx = int(np.nanargmin(flat))
+    worst = float(flat[idx])
+    passed = worst >= -SIGN_TOL
     loc = (float(R.reshape(-1)[idx]), float(T.reshape(-1)[idx]))
     details = {}
     if non_finite.size:
@@ -224,14 +216,13 @@ def check_sign(
                    "first_non_finite_location": [float(R.reshape(-1)[first]),
                                                  float(T.reshape(-1)[first])]}
     return CertificateReport(
-        subject=subject or u.label,
-        condition=f"residual {sense}",
+        subject=u.label,
+        condition="residual >=0",
         grid=grid.describe() | {"hash": grid.hash(), "points": int(valid.sum())},
         worst_violation=worst,
         worst_location=loc,
         passed=bool(passed),
-        tolerance=tol,
-        sense=sense,
+        tolerance=SIGN_TOL,
         details=details,
     )
 
@@ -255,9 +246,6 @@ def check_barrier_family(
     n: int,
     k_max: int = 4,
     grid: Optional[CertGrid] = None,
-    n_boundary: int = 256,
-    n_rays: int = 8,
-    tol: float = SIGN_TOL,
 ) -> CertificateReport:
     """Finite-sample barrier-family certificate at the tip (0, 0).
 
@@ -268,7 +256,7 @@ def check_barrier_family(
           bracketing inequalities hold at every grid point:
           C <= Q <= 2C and w_C >= (1/p) C^(1/(p-2)) delta_hat^((p-1)/(p-2))
           (-t)^(-n/lam);
-    (ii)  decay at the tip: along n_rays radial rays (fixed y, t -> 0-) the
+    (ii)  decay at the tip: along 8 radial rays (fixed y, t -> 0-) the
           values stay below the closed-form envelope rho_C(t), whose sampled
           tail decreases to 0;
     (iii) growth away from the tip: for each k <= k_max some member's
@@ -294,8 +282,10 @@ def check_barrier_family(
     all_pass = True
     inconclusive = False
 
+    tol = SIGN_TOL
     R, T = grid.meshes(profile)
     kap_chi = geo.kap * geo.chi(R, T)
+    t_col = grid.t_levels[:, None]      # gauge factors depend on t only
 
     # (i) positivity + supersolution + sandwich + lower bound per member
     member_reports = []
@@ -303,14 +293,14 @@ def check_barrier_family(
         w = spec.fn
         gauge = spec.gauge
         C = spec.constants["C"]
-        rep = check_sign(w, profile, p, n, grid=grid, tol=tol, subject=spec.fn.label)
+        rep = check_sign(w, profile, p, n, grid=grid)
         vals = np.asarray(w(R, T), dtype=float)
         pos_min = float(vals.min())
         Q = C + kap_chi
         sandwich_lo = float((Q - C).min())
         sandwich_hi = float((2.0 * C - Q).min())
-        dh = np.asarray(gauge.delta(T), dtype=float)
-        lower = geo.envelope(C, dh, T, scale=1.0 / p)
+        dh = np.asarray(gauge.delta(t_col), dtype=float)
+        lower = geo.envelope(C, dh, t_col, scale=1.0 / p)
         lower_margin = float((vals - lower).min())
         ok = (rep.passed and pos_min > 0.0 and sandwich_lo >= -tol
               and sandwich_hi >= -tol and lower_margin >= -tol)
@@ -328,7 +318,7 @@ def check_barrier_family(
 
     # (ii) decay along rays below the vanishing envelope rho_C
     t_ray = profile.t0 * (1e-8) ** (np.arange(1, 65) / 64)
-    y_ray = (np.arange(1, n_rays + 1)) / (n_rays + 1.0)
+    y_ray = (np.arange(1, _N_RAYS + 1)) / (_N_RAYS + 1.0)
     decay = []
     for spec in family:
         w, gauge, C = spec.fn, spec.gauge, spec.constants["C"]
@@ -348,7 +338,7 @@ def check_barrier_family(
     details["condition_ii_decay"] = decay
 
     # (iii) growth: ladder member beating level k away from the tip
-    rb, tb = _boundary_samples(profile, n_each=n_boundary)
+    rb, tb = _boundary_samples(profile, n_each=_N_BOUNDARY)
     dist = np.sqrt(rb * rb + tb * tb)
     j_of_k = {}
     for k in range(1, k_max + 1):
@@ -379,8 +369,8 @@ def check_barrier_family(
     return CertificateReport(
         subject=f"barrier-family(p={p}, n={n}, ladder={len(family)})",
         condition="barrier family conditions (i)-(iii)" + (" [INCONCLUSIVE]" if inconclusive else ""),
-        grid=grid.describe() | {"hash": grid.hash(), "n_boundary": 2 * n_boundary,
-                                "n_rays": n_rays},
+        grid=grid.describe() | {"hash": grid.hash(), "n_boundary": 2 * _N_BOUNDARY,
+                                "n_rays": _N_RAYS},
         worst_violation=float(worst_overall),
         worst_location=worst_loc,
         passed=passed,
@@ -389,13 +379,7 @@ def check_barrier_family(
     )
 
 
-def _default_solve():
-    from .solver import solve_dirichlet
-    return solve_dirichlet
-
-
 def check_scaling_equivariance(
-    solve: Optional[Callable],
     profile: DomainProfile,
     p: float,
     a: float,
@@ -413,12 +397,8 @@ def check_scaling_equivariance(
     mismatch is a genuine discretization quantity that shrinks under
     refinement).
     """
-    from .domains import scale_domain
-    from .solver import SolverConfig
-
     if p == 2:
         raise DomainError("p = 2 has no scaling invariance")
-    solve = solve or _default_solve()
     cfg = cfg or SolverConfig(n_y=65, n_t=200, eps_min=1e-3 * abs(profile.t0))
     if f is None:
         f = lambda r, t: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) + 0.5 * np.asarray(t, dtype=float)
@@ -427,8 +407,8 @@ def check_scaling_equivariance(
     def f_scaled(r, t):
         return np.asarray(f(np.asarray(r, dtype=float) / a, t), dtype=float) / factor
 
-    fld = solve(profile, p, n, f, cfg)
-    fld_s = solve(scaled, p, n, f_scaled, cfg)
+    fld = solve_dirichlet(profile, p, n, f, cfg)
+    fld_s = solve_dirichlet(scaled, p, n, f_scaled, cfg)
     uA = fld.values[-1]
     uB = factor * fld_s.values[-1]
     scale_ref = max(1.0, float(np.max(np.abs(uA))))
@@ -453,7 +433,6 @@ def check_scaling_equivariance(
 
 
 def check_comparison(
-    solve: Optional[Callable],
     profile: DomainProfile,
     p: float,
     n: int,
@@ -463,16 +442,13 @@ def check_comparison(
     tol: float = 1e-10,
 ) -> CertificateReport:
     """Discrete comparison: ordered boundary data give ordered solutions."""
-    from .solver import SolverConfig
-
-    solve = solve or _default_solve()
     cfg = cfg or SolverConfig(n_y=65, n_t=200, eps_min=1e-3 * abs(profile.t0))
     rb, tb = _boundary_samples(profile, n_each=128)
     gap = np.asarray(f2(rb, tb), dtype=float) - np.asarray(f1(rb, tb), dtype=float)
     if np.any(gap < -1e-14):
         raise DomainError("boundary data not ordered: f1 <= f2 fails on samples")
-    u1 = solve(profile, p, n, f1, cfg)
-    u2 = solve(profile, p, n, f2, cfg)
+    u1 = solve_dirichlet(profile, p, n, f1, cfg)
+    u2 = solve_dirichlet(profile, p, n, f2, cfg)
     viol = u1.values - u2.values
     k, i = np.unravel_index(int(np.argmax(viol)), viol.shape)
     worst = float(viol[k, i])

@@ -204,9 +204,9 @@ def test_criterion_7_scaling_equivariance():
     t0 = time.perf_counter()
     prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
     base = check_scaling_equivariance(
-        None, prof, 3.0, 2.0, cfg=SolverConfig(n_y=65, n_t=200, eps_min=1e-3))
+        prof, 3.0, 2.0, cfg=SolverConfig(n_y=65, n_t=200, eps_min=1e-3))
     refined = check_scaling_equivariance(
-        None, prof, 3.0, 2.0,
+        prof, 3.0, 2.0,
         cfg=SolverConfig(n_y=129, n_t=400, eps_min=1e-3, c_step=0.25))
     elapsed = time.perf_counter() - t0
     ok = (base.worst_violation <= 1e-3

@@ -43,7 +43,6 @@ class TestParams:
     def test_derived_exponents(self):
         pr = Params(p=3.0, n=2, q=0.5, K=1.0, t0=-1.0)
         assert pr.lam == 5.0
-        assert pr.alpha == 3.0
         assert pr.beta == pytest.approx(2.0 / 5.0)
         assert pr.gamma == pytest.approx(1.0 / 5.0)
         assert pr.gamma < pr.beta
@@ -55,13 +54,6 @@ class TestParams:
             Params(p=3.0, n=2, t0=0.1)
         with pytest.raises(DomainError):
             Params(p=3.0, n=2, q=-1.0)
-        with pytest.raises(DomainError):
-            Params(p=2.0, n=2).alpha
-
-    def test_barenblatt_scale_guard(self):
-        Params(p=3.0, n=2).require_barenblatt_scale()
-        with pytest.raises(DomainError):
-            Params(p=1.2, n=2).require_barenblatt_scale()
 
 
 class TestRadialPowerFormula:

@@ -151,6 +151,11 @@ class TestSolveAndScale:
     def test_solve_bad_data_usage_error(self):
         assert run(["solve", "--p", "3", "--q", "0.5", "--data", "wat"]) == 1
 
+    @pytest.mark.parametrize("data", ["const:abc", "const:nan"])
+    def test_solve_bad_const_usage_error(self, data, capsys):
+        assert run(["solve", "--p", "3", "--q", "0.5", "--data", data]) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_scale_check(self, tmp_path):
         out = tmp_path / "scale.json"
         code = run(["scale-check", "--p", "3", "--a", "2", "--q", "0.5",

@@ -166,6 +166,34 @@ class TestEnvelope:
             fd = (float(env.delta(t + h)) - float(env.delta(t - h))) / (2 * h)
             assert float(env.ddelta(t)) == pytest.approx(fd, rel=1e-4)
 
+    def test_perturbed_power_profile_envelope(self):
+        # a tabulated width takes the sampled branch; the wiggle leaves the
+        # weighted gauge nonmonotone, so the running sup has plateaus
+        t = -np.logspace(0, -6, 400)
+        prof = profile_from_samples(t, (-t) ** 0.3 * (1.0 + 0.05 * np.sin(3.0 * np.log(-t))))
+        p, n = 3.0, 1
+        env = envelope_gauge(prof, p, n)
+        ts = env.t_samples
+        tilde = (-ts) ** env.beta * running_sup(gauge_of(prof, p, n).weighted(ts))
+        dhat = np.asarray(env.delta(ts))
+        assert np.all(tilde < dhat) and np.all(dhat < 2.0 * tilde)
+        w = env.weighted(ts)
+        assert np.all(np.diff(w) >= -1e-12 * np.maximum(1.0, w[:-1]))
+        assert env.monotone_flag and env.check_monotone()
+        # central differences between samples, where the envelope is one cubic
+        for tm in -np.sqrt(ts[:-1] * ts[1:])[::10]:
+            h = 1e-6 * abs(tm)
+            fd = (float(env.delta(tm + h)) - float(env.delta(tm - h))) / (2 * h)
+            assert float(env.ddelta(tm)) == pytest.approx(fd, rel=1e-6)
+        assert env.theta == np.min(w[ts > prof.t0 / 2.0])
+
+    def test_theta_falls_back_to_all_samples(self):
+        # no sample lies in t0/2 < t < 0, so theta is the minimum over all of them
+        ts = np.array([-1.0, -0.9, -0.8])
+        env = monotone_smooth_envelope(ts, (-ts) ** 0.3, 0.3)
+        assert env.theta == np.min(env.weighted(ts))
+        assert env.vanishes is None           # the envelope alone has no gamma
+
     def test_nonmonotone_input_rejected(self):
         ts = -np.logspace(0, -2, 30)[1:]
         bad = (-ts) ** 0.9                 # weighted form decreasing for beta=0.2

@@ -165,10 +165,6 @@ class TestSolveDirichlet:
         assert lines[0] == "t,y,r,u"
         assert len(lines) == 1 + fld.t_nodes.size * fld.y_nodes.size
 
-    def test_config_json_roundtrip(self):
-        cfg = SolverConfig(n_y=65, n_t=123, eps_min=1e-3, eps_reg=1e-7)
-        assert SolverConfig.from_json(cfg.to_json()) == cfg
-
 
 def smooth_data(r, t):
     return 0.3 + 0.4 * np.sin(2.0 * np.asarray(r, dtype=float) + 0.5) + 0.2 * np.asarray(t)
@@ -267,15 +263,6 @@ class TestNonFinite:
 
 
 class TestProbe:
-    def test_zero_datum_attains_trivially(self, power_profile):
-        zero = lambda r, t: 0.0 * np.asarray(r, dtype=float)
-        out = probe_origin(power_profile, 3.0, 1, f_probe=zero, ladder=[
-            {"eps_min": 1e-2, "n_y": 17, "n_t": 40},
-            {"eps_min": 1e-3, "n_y": 17, "n_t": 60},
-        ])
-        assert out["endpoints"] == [0.0, 0.0]
-        assert all(abs(v) == 0.0 for _, v in out["trace"])
-
     def test_coarse_ladder_is_inconclusive(self, power_profile):
         out = probe_origin(power_profile, 3.0, 1, ladder=[
             {"eps_min": 1e-1, "n_y": 17, "n_t": 30},
