@@ -52,7 +52,6 @@ from .solver import (
     classify,
     probe_origin,
     solve_dirichlet,
-    transform_pde,
 )
 from .errors import DomainError, SolverError
 

@@ -393,22 +393,16 @@ class BarrierSpec:
         K = p.K if p.K is not None else 1.0
         return make_profile("power", K=K, q=p.q, t0=p.t0)
 
-    def to_json_dict(self, grid_hash: Optional[str] = None) -> dict:
-        out = {
+    def to_json_dict(self, grid_hash: str) -> dict:
+        return {
             "kind": self.kind,
             "parameters": {
                 "p": self.params.p, "n": self.params.n, "q": self.params.q,
                 "K": self.params.K, "t0": self.params.t0,
             },
             "constants": dict(sorted(self.constants.items())),
+            "verification_grid_hash": grid_hash,
         }
-        if grid_hash is not None:
-            out["verification_grid_hash"] = grid_hash
-        return out
-
-    def json_hash(self) -> str:
-        from .verify import stamp  # verify imports this module
-        return stamp(self.to_json_dict())["report_hash"]
 
 
 def make_barrier(kind: str, p: float, n: int, q: Optional[float] = None,

@@ -77,6 +77,10 @@ class Params:
     t0: float = -1.0
 
     def __post_init__(self):
+        for name in ("p", "n", "q", "K", "t0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {name}={value}")
         if self.p <= 1:
             raise DomainError(f"p must exceed 1, got p={self.p}")
         if self.n < 1 or int(self.n) != self.n:
@@ -461,14 +465,15 @@ def residual(
     raise ValueError(f"unknown method {method!r}")
 
 
-def check_derivatives(u: SpaceTimeFunction, points, h: float = 1e-4) -> float:
+def check_derivatives(u: SpaceTimeFunction, points) -> float:
     """Max relative deviation of attached derivatives from central differences.
 
     dt and dr are compared with differences of fn, drr with differences of
-    dr.  points is an iterable of (r, t) interior sample points.  Returns the
-    worst relative error over the three derivatives (NaN if any is NaN);
-    callers assert it <= 1e-6.
+    dr, at relative step 1e-4.  points is an iterable of (r, t) interior
+    sample points.  Returns the worst relative error over the three
+    derivatives (NaN if any is NaN); callers assert it <= 1e-6.
     """
+    h = 1e-4
     errors = [0.0]
     for r, t in points:
         ht = h * abs(t) if t != 0 else h

@@ -47,6 +47,17 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of sample counts: an integer >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _solver_config(args) -> sol.SolverConfig:
     return sol.SolverConfig(
         n_y=args.grid_y, n_t=args.grid_t, eps_min=args.eps_min,
@@ -69,7 +80,7 @@ def cmd_lemma_check(args) -> int:
         u = calc.SpaceTimeFunction(fn=lambda rr, tt, C=C, alpha=alpha: np.asarray(rr, dtype=float) ** alpha * C)
         oracle = calc.p_laplacian_radial_fd(u, args.p, args.n, r, -1.0, h=args.h)
         rows.append((C, alpha, r, closed, oracle, abs(closed - oracle) / (1.0 + abs(closed))))
-    worst = float(np.max([row[5] for row in rows], initial=0.0))
+    worst = float(np.max([row[5] for row in rows]))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("C,alpha,r,closed,oracle,rel_err\n")
@@ -89,7 +100,7 @@ def cmd_barenblatt_check(args) -> int:
     """FD residual of the self-similar source solution at interior points."""
     B = calc.barenblatt_function(args.p, args.n, args.C)
     rng = np.random.default_rng(20260809)
-    residuals = [0.0]
+    residuals = []
     for _ in range(args.points):
         t = float(rng.uniform(0.5, 2.0))
         if args.p > 2:
@@ -173,7 +184,7 @@ def cmd_solve(args) -> int:
     if args.out:
         field.to_csv(args.out)
     ok, margins = field.check_max_principle()
-    print(f"solve: {field.meta['n_steps']} steps, u(0, {field.t_nodes[-1]:.6g}) = "
+    print(f"solve: {field.meta['stats']['steps']} steps, u(0, {field.t_nodes[-1]:.6g}) = "
           f"{field.values[-1, 0]:.10g}, max principle {'OK' if ok else 'VIOLATED'}")
     return EXIT_PASS if ok else EXIT_SOLVER_FAIL
 
@@ -245,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lemma-check", help="closed form vs finite-difference oracle")
     common(sp)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=positive_int, default=50)
     sp.add_argument("--h", type=finite_float, default=1e-4)
     sp.add_argument("--tol", type=finite_float, default=1e-6)
     sp.set_defaults(func=cmd_lemma_check)
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("barenblatt-check", help="residual of the source solution")
     common(sp)
     sp.add_argument("--C", type=finite_float, default=1.0)
-    sp.add_argument("--points", type=int, default=100)
+    sp.add_argument("--points", type=positive_int, default=100)
     sp.add_argument("--h", type=finite_float, default=1e-4)
     sp.add_argument("--tol", type=finite_float, default=1e-5)
     sp.set_defaults(func=cmd_barenblatt_check)

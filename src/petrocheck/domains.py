@@ -67,13 +67,11 @@ def _power_law(amp: float, expo: float):
     return f, df
 
 
-def geometric_times(t0: float, n: int = 200, sigma: float = 0.9) -> np.ndarray:
-    """Geometric sample times t_k = t0 * sigma^k, k = 1..n, increasing toward 0."""
+def geometric_times(t0: float) -> np.ndarray:
+    """Geometric sample times t_k = t0 * 0.9^k, k = 1..200, increasing toward 0."""
     if t0 >= 0:
         raise DomainError("t0 must be negative")
-    if not (0 < sigma < 1) or n < 2:
-        raise DomainError("need 0 < sigma < 1 and n >= 2")
-    return t0 * sigma ** np.arange(1, n + 1)
+    return t0 * 0.9 ** np.arange(1, 201)
 
 
 @dataclass(frozen=True)
@@ -97,23 +95,6 @@ class DomainProfile:
         out = ok_t & (r < width)
         return out if out.ndim else bool(out)
 
-    def scaled(self, a: float) -> "DomainProfile":
-        """Profile with width a * zeta(t) (space dilation x -> a x)."""
-        if a <= 0:
-            raise DomainError(f"scale must be positive, got {a}")
-        if self.kind in ("power", "petrovskii_loglog"):
-            return make_profile(self.kind, K=a * self.K, q=self.q, t0=self.t0)
-        zeta, dzeta = self.zeta, self.dzeta
-        return DomainProfile(
-            kind=self.kind,
-            t0=self.t0,
-            zeta=lambda t: a * zeta(t),
-            dzeta=(lambda t: a * dzeta(t)) if dzeta is not None else None,
-            K=None,
-            q=None,
-            meta=dict(self.meta, scaled_by=a),
-        )
-
 
 def make_profile(kind: str, K: float, q: Optional[float] = None, t0: float = -1.0) -> DomainProfile:
     """Build a width profile.
@@ -122,6 +103,8 @@ def make_profile(kind: str, K: float, q: Optional[float] = None, t0: float = -1.
     petrovskii_loglog: zeta(t) = K sqrt(-t) sqrt(log|log(-t)|); requires
     t0 > -1/e so the double logarithm is defined and positive on (t0, 0).
     """
+    if not all(math.isfinite(x) for x in (K, q, t0) if x is not None):
+        raise DomainError(f"K, q and t0 must be finite, got K={K}, q={q}, t0={t0}")
     if K <= 0:
         raise DomainError(f"K must be positive, got {K}")
     if t0 >= 0:
@@ -164,6 +147,8 @@ def profile_from_samples(t: np.ndarray, z: np.ndarray) -> DomainProfile:
     z = np.asarray(z, dtype=float)
     if t.ndim != 1 or t.size < 2 or t.shape != z.shape:
         raise DomainError("need matching 1-d arrays with at least 2 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(z))):
+        raise DomainError("samples must be finite")
     if np.any(np.diff(t) <= 0) or np.any(t >= 0):
         raise DomainError("sample times must be strictly increasing and negative")
     if np.any(z <= 0):
@@ -247,12 +232,12 @@ class Gauge:
     def weighted(self, t):
         return (-np.asarray(t, dtype=float)) ** (-self.beta) * self.delta(t)
 
-    def check_monotone(self, tol: float = 1e-12) -> bool:
-        """Weighted-gauge monotonicity on the stored samples."""
+    def check_monotone(self) -> bool:
+        """Weighted-gauge monotonicity on the stored samples, to 1e-12."""
         if self.t_samples is None:
             return self.monotone_flag
         w = self.weighted(self.t_samples)
-        return bool(np.all(np.diff(w) >= -tol))
+        return bool(np.all(np.diff(w) >= -1e-12))
 
 
 def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
@@ -413,4 +398,14 @@ def scale_domain(profile: DomainProfile, a: float, p: float):
     if a <= 0:
         raise DomainError(f"scale must be positive, got {a}")
     factor = a ** (-p / (p - 2.0))
-    return profile.scaled(a), factor
+    if profile.kind in ("power", "petrovskii_loglog"):
+        return make_profile(profile.kind, K=a * profile.K, q=profile.q, t0=profile.t0), factor
+    zeta, dzeta = profile.zeta, profile.dzeta
+    scaled = DomainProfile(
+        kind=profile.kind,
+        t0=profile.t0,
+        zeta=lambda t: a * zeta(t),
+        dzeta=(lambda t: a * dzeta(t)) if dzeta is not None else None,
+        meta=dict(profile.meta, scaled_by=a),
+    )
+    return scaled, factor

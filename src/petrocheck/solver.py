@@ -24,7 +24,8 @@ Picard fallback with frozen flux coefficients when Newton stalls or every
 backtracking trial fails).  The one-sided advection and
 the strictly increasing regularized flux make each step an M-matrix problem,
 so the scheme obeys a discrete comparison principle up to the nonlinear
-solve tolerance.
+solve tolerance.  The stepper is the one statement of the transformed
+equation; the tests check it against the exact source solution B(r, t + 2).
 
 Cost per step: the coefficients that depend only on the time level (zeta,
 zeta', zeta^-p and the upwind split) are built once per step, and the
@@ -59,7 +60,7 @@ the borderline q = 1/p left Unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -69,15 +70,13 @@ from scipy.linalg.lapack import dgtsv
 from scipy.linalg import solve_banded  # noqa: F401
 
 from .calculus import Params
-from .domains import DomainProfile
+from .domains import DomainProfile, make_profile
 from .errors import DomainError, SolverError
 
 __all__ = [
     "SolverConfig",
     "GridField",
     "RegularityVerdict",
-    "TransformedPDE",
-    "transform_pde",
     "time_grid",
     "solve_dirichlet",
     "probe_origin",
@@ -87,6 +86,10 @@ __all__ = [
 ]
 
 _BORDERLINE_RTOL = 1e-12  # |q - 1/p| below this counts as the borderline case
+RESIDUAL_TOL = 1e-11      # a step is solved when its scaled residual is <= this
+_PICARD_MAX = 200         # Picard iterations before a step counts as stalled
+_MAX_STEPS = 2_000_000    # longest time grid time_grid builds
+_MAX_PRINCIPLE_TOL = 1e-9  # slack of GridField.check_max_principle
 
 # Declared trend thresholds of the tip probe, reported verbatim with its result
 PROBE_THRESHOLDS = {"attains_endpoint": 0.1, "attains_ratio": 0.8,
@@ -103,9 +106,6 @@ class SolverConfig:
     eps_reg: float = 1e-8
     c_step: float = 0.5
     newton_max: int = 60
-    picard_max: int = 200
-    tol: float = 1e-11
-    max_steps: int = 2_000_000
 
     def resolved_eps_min(self, t0: float) -> float:
         return self.eps_min if self.eps_min is not None else 1e-4 * abs(t0)
@@ -134,10 +134,10 @@ class GridField:
                 for i, y in enumerate(self.y_nodes):
                     fh.write(f"{t:.17g},{y:.17g},{y * z:.17g},{self.values[k, i]:.17g}\n")
 
-    def check_max_principle(self, tol: float = 1e-9):
+    def check_max_principle(self):
         lo, hi = self.meta["data_min"], self.meta["data_max"]
         vmin, vmax = float(self.values.min()), float(self.values.max())
-        ok = vmin >= lo - tol and vmax <= hi + tol
+        ok = vmin >= lo - _MAX_PRINCIPLE_TOL and vmax <= hi + _MAX_PRINCIPLE_TOL
         return ok, (vmin - lo, hi - vmax)
 
 
@@ -160,58 +160,6 @@ class RegularityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class TransformedPDE:
-    """Coefficient functions of the fixed-cylinder form of the equation."""
-
-    profile: DomainProfile
-    p: float
-    n: int
-
-    def advection(self, y, t):
-        """Coefficient of dv/dy: y zeta'(t)/zeta(t) (<= 0 for shrinking widths)."""
-        z = self.profile.zeta(t)
-        dz = self.profile.dzeta(t)
-        return np.asarray(y, dtype=float) * dz / z
-
-    def diffusion_scale(self, t):
-        """Multiplier zeta(t)^(-p) of the radial flux divergence."""
-        return self.profile.zeta(t) ** (-self.p)
-
-    def to_cylinder(self, u_fn: Callable) -> Callable:
-        """(r,t)-field to (y,t)-field: v(y,t) = u(y zeta(t), t)."""
-        return lambda y, t: u_fn(np.asarray(y, dtype=float) * self.profile.zeta(t), t)
-
-    def from_cylinder(self, v_fn: Callable) -> Callable:
-        """(y,t)-field back to (r,t): u(r,t) = v(r/zeta(t), t)."""
-        return lambda r, t: v_fn(np.asarray(r, dtype=float) / self.profile.zeta(t), t)
-
-    def residual_cylinder(self, v_fn: Callable, y: float, t: float,
-                          hy: float = 1e-4, ht_rel: float = 1e-5) -> float:
-        """FD residual of the transformed equation at an interior point."""
-        ht = ht_rel * abs(t)
-        dvdt = (v_fn(y, t + ht) - v_fn(y, t - ht)) / (2.0 * ht)
-        dvdy = (v_fn(y + hy, t) - v_fn(y - hy, t)) / (2.0 * hy)
-        sp = (v_fn(y + hy, t) - v_fn(y, t)) / hy
-        sm = (v_fn(y, t) - v_fn(y - hy, t)) / hy
-        phi = lambda s: abs(s) ** (self.p - 2.0) * s if s != 0 else 0.0
-        fp = (y + hy / 2.0) ** (self.n - 1) * phi(sp)
-        fm = (y - hy / 2.0) ** (self.n - 1) * phi(sm)
-        diff = self.diffusion_scale(t) * y ** (1 - self.n) * (fp - fm) / hy
-        adv = float(self.advection(y, t)) * dvdy
-        return float(dvdt - adv - diff)
-
-
-def transform_pde(profile: DomainProfile, p: float, n: int) -> TransformedPDE:
-    """Coefficient functions of the y = r/zeta(t) change of variables."""
-    if profile.dzeta is None:
-        raise DomainError(
-            "profile has no usable width derivative (tabulated profiles need "
-            "the monotone spline built by profile_from_samples)"
-        )
-    return TransformedPDE(profile=profile, p=p, n=n)
-
-
 def time_grid(profile: DomainProfile, p: float, cfg: SolverConfig) -> np.ndarray:
     """Geometric grid from t0 to -eps_min with the stiffness cap applied.
 
@@ -227,9 +175,9 @@ def time_grid(profile: DomainProfile, p: float, cfg: SolverConfig) -> np.ndarray
     for a, b in zip(base[:-1], base[1:]):
         cap = cfg.c_step * float(profile.zeta(b)) ** p
         m = max(1, int(math.ceil((b - a) / cap))) if cap > 0 else 1
-        if len(out) + m > cfg.max_steps:
+        if len(out) + m > _MAX_STEPS:
             raise SolverError(
-                f"time grid exceeds max_steps={cfg.max_steps}; "
+                f"time grid exceeds max_steps={_MAX_STEPS}; "
                 f"raise c_step or eps_min", t=b,
             )
         step = (b - a) / m
@@ -345,10 +293,10 @@ class _Stepper:
         scaled residual norm.
 
         The norm is max_i |G_i| / scale_i, where scale_i bounds the terms
-        combined in row i; the nonlinear solve accepts norm <= tol, which is
-        the roundoff floor of evaluating G (an absolute test is unreachable
-        when the regularized flux makes individual terms large but
-        cancelling).
+        combined in row i; the nonlinear solve accepts norm <= RESIDUAL_TOL,
+        which is the roundoff floor of evaluating G (an absolute test is
+        unreachable when the regularized flux makes individual terms large
+        but cancelling).
         """
         self.stats["assemblies"] += 1
         p, eps, h, dt = self.p, self.cfg.eps_reg, self.h, c.dt
@@ -383,7 +331,7 @@ class _Stepper:
         v = vold.copy()
         v[-1] = bc
         v, gnorm = self._newton(v, vold, c, bc, step_index, t_new)
-        if not gnorm <= self.cfg.tol:
+        if not gnorm <= RESIDUAL_TOL:
             v, gnorm = self._picard(v, gnorm, vold, c, bc, step_index, t_new)
         self.stats["steps"] += 1
         self.stats["worst_residual"] = max(self.stats["worst_residual"], gnorm)
@@ -395,7 +343,7 @@ class _Stepper:
         cfg, stats = self.cfg, self.stats
         G, dphi, gnorm = self.assemble(v, vold, c, bc)
         for _ in range(cfg.newton_max):
-            if gnorm <= cfg.tol:
+            if gnorm <= RESIDUAL_TOL:
                 break
             if not math.isfinite(gnorm):
                 raise SolverError(f"non-finite residual at step {step_index} "
@@ -424,13 +372,13 @@ class _Stepper:
         cfg = self.cfg
         rhs = vold.copy()
         rhs[-1] = bc
-        for _ in range(cfg.picard_max):
+        for _ in range(_PICARD_MAX):
             s = (v[1:] - v[:-1]) / self.h
             w = (s * s + cfg.eps_reg ** 2) ** ((self.p - 2.0) / 2.0)
             v = self.solve(c, w, rhs, step_index, t_new)
             self.stats["picard_iterations"] += 1
             gnorm = self.assemble(v, vold, c, bc)[2]
-            if gnorm <= cfg.tol:
+            if gnorm <= RESIDUAL_TOL:
                 return v, gnorm
         raise SolverError(
             f"nonlinear solve stalled at step {step_index} (t={t_new:.6g}, "
@@ -457,7 +405,11 @@ def solve_dirichlet(
     cfg = cfg or SolverConfig()
     if cfg.n_y < 3:
         raise DomainError("need at least 3 y-nodes")
-    transform_pde(profile, p, n)  # validates the width derivative exists
+    if profile.dzeta is None:
+        raise DomainError(
+            "profile has no usable width derivative (tabulated profiles need "
+            "the monotone spline built by profile_from_samples)"
+        )
     ts = np.asarray(t_nodes, dtype=float) if t_nodes is not None else time_grid(profile, p, cfg)
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0) or ts[-1] >= 0:
         raise DomainError("t_nodes must be strictly increasing and negative")
@@ -488,7 +440,6 @@ def solve_dirichlet(
     return GridField(
         y_nodes=y, t_nodes=ts, values=values, params=pars, profile=profile,
         meta={"data_min": data_min, "data_max": data_max,
-              "config": asdict(cfg), "n_steps": int(ts.size - 1),
               "stats": dict(stepper.stats)},
     )
 
@@ -546,7 +497,7 @@ def probe_origin(
         traces.append([(float(fld.t_nodes[k]), float(fld.values[k, 0])) for k in keep])
         rungs.append({"eps_min": cfg.resolved_eps_min(profile.t0),
                       "n_y": cfg.n_y, "n_t": cfg.n_t,
-                      "n_steps": fld.meta["n_steps"], "endpoint": endpoints[-1]})
+                      "n_steps": fld.meta["stats"]["steps"], "endpoint": endpoints[-1]})
 
     trend = "inconclusive"
     if len(endpoints) >= 2:
@@ -602,7 +553,6 @@ def classify(
             "K_irrelevant": p != 2}
     if with_probe:
         try:
-            from .domains import make_profile
             profile = make_profile("power", K=K, q=q, t0=-1.0)
             probe = probe_origin(profile, p, n, ladder=ladder)
             trace = probe["trace"]

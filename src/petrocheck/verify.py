@@ -36,7 +36,6 @@ __all__ = [
     "check_barrier_family",
     "check_scaling_equivariance",
     "check_comparison",
-    "reports_to_csv",
     "canonical_json",
     "stamp",
 ]
@@ -135,10 +134,9 @@ class CertificateReport:
     passed: bool
     tolerance: float
     sense: str = ">=0"
-    finite_sample: bool = True
     details: dict = field(default_factory=dict)
 
-    def to_dict(self, with_timestamp: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return stamp({
             "subject": self.subject,
             "condition": self.condition,
@@ -148,31 +146,9 @@ class CertificateReport:
             "pass": self.passed,
             "tolerance": self.tolerance,
             "sense": self.sense,
-            "finite_sample": self.finite_sample,
+            "finite_sample": True,
             "details": self.details,
-        }, with_timestamp)
-
-    def to_json(self, with_timestamp: bool = False) -> str:
-        return canonical_json(self.to_dict(with_timestamp=with_timestamp))
-
-    def csv_row(self) -> dict:
-        return {
-            "subject": self.subject,
-            "condition": self.condition,
-            "pass": int(self.passed),
-            "worst_violation": f"{self.worst_violation:.17g}",
-            "tolerance": f"{self.tolerance:.17g}",
-            "sense": self.sense,
-        }
-
-
-def reports_to_csv(reports: Sequence[CertificateReport], path):
-    cols = ["subject", "condition", "pass", "worst_violation", "tolerance", "sense"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rep in reports:
-            row = rep.csv_row()
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+        })
 
 
 def check_sign(
@@ -422,7 +398,8 @@ def check_scaling_equivariance(
         condition="mapped-solution mismatch <= tol",
         grid={"n_y": int(cfg.n_y), "n_t": int(cfg.n_t),
               "eps_min": float(cfg.resolved_eps_min(profile.t0)),
-              "steps_base": fld.meta["n_steps"], "steps_scaled": fld_s.meta["n_steps"]},
+              "steps_base": fld.meta["stats"]["steps"],
+              "steps_scaled": fld_s.meta["stats"]["steps"]},
         worst_violation=worst,
         worst_location=loc,
         passed=bool(worst <= tol),
@@ -439,7 +416,6 @@ def check_comparison(
     f1: Callable,
     f2: Callable,
     cfg=None,
-    tol: float = 1e-10,
 ) -> CertificateReport:
     """Discrete comparison: ordered boundary data give ordered solutions."""
     cfg = cfg or SolverConfig(n_y=65, n_t=200, eps_min=1e-3 * abs(profile.t0))
@@ -460,7 +436,7 @@ def check_comparison(
               "eps_min": float(cfg.resolved_eps_min(profile.t0))},
         worst_violation=worst,
         worst_location=loc,
-        passed=bool(worst <= tol),
-        tolerance=tol,
+        passed=bool(worst <= SIGN_TOL),
+        tolerance=SIGN_TOL,
         sense="<=0",
     )

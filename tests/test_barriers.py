@@ -292,7 +292,6 @@ class TestBarrierSpec:
         parsed = json.loads(json.dumps(blob))
         assert parsed["kind"] == "degenerate_irregularity"
         assert parsed["verification_grid_hash"] == "abc123"
-        assert spec.json_hash() == spec.json_hash()
 
     def test_derivative_consistency_all_kinds(self):
         prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)

@@ -55,6 +55,18 @@ class TestParams:
         with pytest.raises(DomainError):
             Params(p=3.0, n=2, q=-1.0)
 
+    @given(p=st.floats(1.1, 10.0), n=st.integers(1, 5), q=st.floats(0.05, 2.0),
+           K=st.floats(0.1, 10.0), t0=st.floats(-10.0, -0.01),
+           name=st.sampled_from(["p", "n", "q", "K", "t0"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_field_rejected(self, p, n, q, K, t0, name, bad):
+        fields = {"p": p, "n": n, "q": q, "K": K, "t0": t0}
+        Params(**fields)
+        fields[name] = bad
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            Params(**fields)
+
 
 class TestRadialPowerFormula:
     def test_hand_value(self):

@@ -20,6 +20,12 @@ class TestLemmaCheck:
     def test_usage_error_on_bad_p(self, capsys):
         assert run(["lemma-check", "--p", "0.9", "--n", "2"]) == 1
 
+    def test_zero_samples_usage_error(self, capsys):
+        assert run(["lemma-check", "--p", "3", "--samples", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--samples: must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "lemma.csv"
         assert run(["lemma-check", "--p", "3", "--n", "2", "--samples", "10",
@@ -42,6 +48,12 @@ class TestBarenblattCheck:
 
     def test_bad_lambda_is_usage_error(self):
         assert run(["barenblatt-check", "--p", "1.2", "--n", "2"]) == 1
+
+    def test_negative_points_usage_error(self, capsys):
+        assert run(["barenblatt-check", "--p", "3", "--points", "-4"]) == 1
+        captured = capsys.readouterr()
+        assert "--points: must be at least 1" in captured.err
+        assert "PASS" not in captured.out
 
     def test_non_finite_C_usage_error(self, capsys):
         assert run(["barenblatt-check", "--p", "3", "--C", "nan"]) == 1

@@ -39,7 +39,7 @@ class TestProfiles:
         # at -t = e^-e the double log equals 1 exactly
         t = -math.exp(-math.e)
         assert float(prof.zeta(t)) == pytest.approx(2.0 * math.sqrt(-t))
-        assert np.all(prof.zeta(geometric_times(-0.2, 50)) > 0)
+        assert np.all(prof.zeta(geometric_times(-0.2)) > 0)
 
     def test_loglog_width_derivative(self):
         prof = make_profile("petrovskii_loglog", K=1.0, t0=-0.2)
@@ -66,6 +66,36 @@ class TestProfiles:
             profile_from_samples(np.array([-1.0, -0.5]), np.array([1.0, -2.0]))
         with pytest.raises(DomainError):
             profile_from_samples(np.array([-0.5, -1.0]), np.array([1.0, 1.0]))
+
+    @given(K=st.floats(0.1, 10.0), q=st.floats(0.05, 2.0), t0=st.floats(-10.0, -0.01),
+           name=st.sampled_from(["K", "q", "t0"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_power_profile_rejects_non_finite_input(self, K, q, t0, name, bad):
+        args = {"K": K, "q": q, "t0": t0}
+        assert np.isfinite(make_profile("power", **args).zeta(t0 / 2.0))
+        args[name] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            make_profile("power", **args)
+
+    @given(m=st.integers(2, 40), data=st.data(),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_samples_reject_non_finite_values(self, m, data, bad):
+        t = -np.logspace(0.0, -3.0, m)
+        z = 0.7 * (-t) ** 0.4
+        profile_from_samples(t, z)
+        which = data.draw(st.sampled_from(["t", "z"]))
+        i = data.draw(st.integers(0, m - 1))
+        (t if which == "t" else z)[i] = bad
+        with pytest.raises(DomainError, match="samples must be finite"):
+            profile_from_samples(t, z)
+
+    def test_csv_nan_sample_is_domain_error(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("t,zeta\n-1.0,1.0\n-0.5,nan\n-0.1,0.3\n")
+        with pytest.raises(DomainError, match="samples must be finite"):
+            profile_from_csv(path)
 
 
 class TestGauge:
@@ -229,6 +259,16 @@ class TestScaleDomain:
         t = -0.2
         assert float(back.zeta(t)) == pytest.approx(float(prof.zeta(t)), rel=1e-12)
         assert f1 * f2 == pytest.approx(1.0, rel=1e-12)
+
+    def test_tabulated_profile_scales_width_and_derivative(self):
+        t = -np.logspace(0, -3, 40)
+        prof = profile_from_samples(t, 0.7 * (-t) ** 0.4)
+        scaled, factor = scale_domain(prof, 2.0, 3.0)
+        ts = np.array([-0.9, -0.1, -0.005])
+        assert scaled.kind == "tabulated" and scaled.meta["scaled_by"] == 2.0
+        assert np.allclose(scaled.zeta(ts), 2.0 * prof.zeta(ts), rtol=1e-15)
+        assert np.allclose(scaled.dzeta(ts), 2.0 * prof.dzeta(ts), rtol=1e-15)
+        assert factor == pytest.approx(2.0 ** -3.0)
 
     def test_p2_unsupported(self):
         prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)

@@ -13,7 +13,6 @@ from petrocheck.solver import (
     probe_origin,
     solve_dirichlet,
     time_grid,
-    transform_pde,
 )
 
 
@@ -23,32 +22,35 @@ def power_profile():
 
 
 class TestTransform:
-    def test_roundtrip_identity(self, power_profile):
-        tr = transform_pde(power_profile, 3.0, 1)
-        u = lambda r, t: np.asarray(r, dtype=float) ** 2
-        back = tr.from_cylinder(tr.to_cylinder(u))
-        for r, t in [(0.37, -0.42), (0.9, -0.9), (0.01, -0.05)]:
-            assert float(back(r, t)) == pytest.approx(r ** 2, rel=1e-12)
+    """The fixed-cylinder equation the stepper solves, checked through the
+    solver against an exact solution."""
 
-    def test_constant_field_has_no_transport(self, power_profile):
-        tr = transform_pde(power_profile, 3.0, 1)
-        assert float(tr.advection(0.0, -0.5)) == 0.0
-        v = tr.to_cylinder(lambda r, t: 5.0 + 0.0 * np.asarray(r, dtype=float))
-        assert tr.residual_cylinder(v, 0.5, -0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_transformed_source_solution_residual(self, power_profile):
-        # the shifted self-similar solution solves the transformed equation too
-        B = barenblatt_function(3.0, 1, 1.0)
-        tr = transform_pde(power_profile, 3.0, 1)
-        v = tr.to_cylinder(lambda r, t: B.fn(r, np.asarray(t, dtype=float) + 2.0))
-        for y, t in [(0.3, -0.5), (0.6, -0.4), (0.5, -0.7)]:
-            assert abs(tr.residual_cylinder(v, y, t)) <= 1e-6
+    # p < 2 is left out until Newton accepts iterates at their roundoff
+    # floor: there it stalls just above its residual tolerance (scaled
+    # |G| ~ 1.1e-11 at p = 1.5, n = 2, n_y = 33)
+    @pytest.mark.parametrize("p, n", [(3.0, 1), (3.0, 2), (2.5, 2)])
+    def test_source_solution_converges_at_first_order(self, power_profile, p, n):
+        # the time-shifted source solution B(r, t + 2) as data; the max error
+        # over the whole field, relative to the largest value, halves with
+        # each doubling of (n_y, n_t)
+        B = barenblatt_function(p, n, 1.0)
+        f = lambda r, t: B.fn(np.asarray(r, dtype=float), np.asarray(t, dtype=float) + 2.0)
+        errors = []
+        for n_y, n_t in [(33, 50), (65, 100), (129, 200)]:
+            fld = solve_dirichlet(power_profile, p, n, f,
+                                  SolverConfig(n_y=n_y, n_t=n_t, eps_min=1e-3))
+            r = fld.y_nodes[None, :] * power_profile.zeta(fld.t_nodes)[:, None]
+            exact = f(r, fld.t_nodes[:, None])
+            errors.append(np.max(np.abs(fld.values - exact)) / np.max(np.abs(exact)))
+        orders = np.log2(np.asarray(errors[:-1]) / errors[1:])
+        assert orders[-1] >= 0.9
+        assert errors[-1] <= 2e-3
 
     def test_missing_derivative_rejected(self):
         prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
         bare = prof.__class__(kind="tabulated", t0=-1.0, zeta=prof.zeta, dzeta=None)
-        with pytest.raises(DomainError):
-            transform_pde(bare, 3.0, 1)
+        with pytest.raises(DomainError, match="no usable width derivative"):
+            solve_dirichlet(bare, 3.0, 1, default_probe, SolverConfig(n_y=17, n_t=20))
 
 
 class TestTimeGrid:
@@ -76,7 +78,7 @@ class TestSolveDirichlet:
     def test_max_principle(self, power_profile):
         cfg = SolverConfig(n_y=49, n_t=80, eps_min=1e-2)
         fld = solve_dirichlet(power_profile, 3.0, 1, default_probe, cfg)
-        ok, _ = fld.check_max_principle(tol=1e-9)
+        ok, _ = fld.check_max_principle()
         assert ok
         assert fld.y_nodes[0] == 0.0 and fld.y_nodes[-1] == 1.0
 
@@ -180,10 +182,10 @@ class TestSolverStats:
         cfg = SolverConfig(n_y=65, n_t=200, eps_min=1e-3)
         fld = solve_dirichlet(power_profile, 3.0, 1, smooth_data, cfg)
         stats = fld.meta["stats"]
-        assert stats["steps"] == fld.meta["n_steps"]
+        assert stats["steps"] == fld.t_nodes.size - 1
         assert stats["newton_iterations"] > stats["steps"]
         assert stats["picard_iterations"] == 0
-        assert 0.0 < stats["worst_residual"] <= cfg.tol
+        assert 0.0 < stats["worst_residual"] <= solver_mod.RESIDUAL_TOL
         assert_one_assembly_per_iterate(stats)
 
     def test_picard_fallback_matches_newton(self, power_profile):
@@ -233,7 +235,7 @@ class TestSolverStats:
         assert stats["newton_iterations"] == 1
         assert stats["backtracks"] == 11
         assert stats["picard_iterations"] > 0
-        assert stats["worst_residual"] <= cfg.tol
+        assert stats["worst_residual"] <= solver_mod.RESIDUAL_TOL
         assert_one_assembly_per_iterate(stats)
         plain = _Stepper(power_profile, 2.2, 1, cfg).step(vold, -0.49, 0.01, bc, 1)
         assert np.max(np.abs(v - plain)) < 1e-10
