@@ -30,7 +30,7 @@ certification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -259,33 +259,6 @@ def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> Sp
     )
 
 
-class _FamilyGeometry(NamedTuple):
-    """Constants and shapes of the barrier family w_C for p > 2, shared by
-    the construction, its threshold search and its certificate."""
-
-    p: float
-    n: int
-    lam: float      # n(p-2) + p
-    pp: float       # p/(p-1)
-    m: float        # (p-1)/(p-2)
-    kap: float      # (p-2)/(p lam^(1/(p-1)))
-
-    def chi(self, r, t):
-        """chi = (|x|/(-t)^(1/lam))^(p/(p-1)), so that Q = C + kap chi."""
-        return r ** self.pp * (-t) ** (-self.pp / self.lam)
-
-    def envelope(self, C, delta, t, scale=1.0):
-        """scale * rho_C(t), rho_C = C^(1/(p-2)) delta^((p-1)/(p-2)) (-t)^(-n/lam)."""
-        return (scale * C ** (1.0 / (self.p - 2.0)) * delta ** self.m
-                * (-t) ** (-self.n / self.lam))
-
-
-def _family_geometry(p: float, n: int) -> _FamilyGeometry:
-    lam = lambda_of(p, n)
-    return _FamilyGeometry(p=p, n=n, lam=lam, pp=p / (p - 1.0), m=(p - 1.0) / (p - 2.0),
-                           kap=(p - 2.0) / (p * lam ** (1.0 / (p - 1.0))))
-
-
 def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceTimeFunction:
     """Member w_C of the gauge-driven barrier family for p > 2.
 
@@ -310,19 +283,20 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
         raise DomainError("gauge must carry a closed-form derivative (use envelope_gauge)")
     if not gauge.monotone_flag:
         raise DomainError("gauge must be weighted-monotone (use envelope_gauge)")
-    geo = _family_geometry(p, n)
+    pars = Params(p=p, n=n)
+    lam, m, kap = pars.lam, pars.m, pars.kap
     cpow = C ** (1.0 / (p - 2.0))
 
     def w(r, t):
-        Q = C + geo.kap * geo.chi(r, t)
+        Q = C + kap * pars.chi(r, -t)
         d = lift(t, gauge.delta, gauge.ddelta)
-        f = -d ** (1.0 / (p - 2.0)) * (-t) ** (-n / geo.lam)
+        f = -d ** (1.0 / (p - 2.0)) * (-t) ** (-n / lam)
         rho = -cpow * d * f
-        return (Q ** geo.m - C ** geo.m) * f + rho
+        return (Q ** m - C ** m) * f + rho
 
     return SpaceTimeFunction.from_formula(
         w, label=f"degenerate-family(p={p}, n={n}, C={C})",
-        meta={"p": p, "n": n, "C": C, "lambda": geo.lam, "kappa": geo.kap,
+        meta={"p": p, "n": n, "C": C, "lambda": lam, "kappa": kap,
               "below_threshold_unknown": True},
     )
 
@@ -350,8 +324,8 @@ def find_family_threshold(p: float, n: int, gauge: Gauge):
         raise DomainError(f"requires p > 2, got p={p}")
     if gauge.ddelta is None or gauge.t_samples is None:
         raise DomainError("gauge must carry samples and a derivative")
-    geo = _family_geometry(p, n)
-    lam, m, kap = geo.lam, geo.m, geo.kap
+    pars = Params(p=p, n=n)
+    lam, m, kap = pars.lam, pars.m, pars.kap
     ts = gauge.t_samples
     d = np.asarray(gauge.delta(ts), dtype=float)
     dd = np.asarray(gauge.ddelta(ts), dtype=float)

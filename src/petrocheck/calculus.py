@@ -52,22 +52,22 @@ __all__ = [
 
 def lambda_of(p: float, n: int) -> float:
     """Self-similarity scale exponent n(p-2) + p."""
-    if p <= 1:
-        raise DomainError(f"p must exceed 1, got p={p}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got n={n}")
-    return n * (p - 2.0) + p
+    return Params(p=p, n=n).lam
 
 
 @dataclass(frozen=True)
 class Params:
-    """Problem parameters with derived exponents.
+    """Problem parameters and the one holder of the self-similar exponents.
 
     p : diffusion exponent, > 1 (degenerate for p > 2, singular for p < 2)
-    n : spatial dimension, >= 1
+    n : spatial dimension, a positive integer
     q : cusp width exponent (> 0) for power profiles, optional
     K : cusp width amplitude (> 0), optional
     t0 : start time, < 0
+
+    lam, pp, m, kap, chi and envelope are shared by the Barenblatt source
+    solution, the gauge and the barrier family w_C; m, kap and envelope
+    need p != 2.
     """
 
     p: float
@@ -94,7 +94,7 @@ class Params:
 
     @property
     def lam(self) -> float:
-        return lambda_of(self.p, self.n)
+        return self.n * (self.p - 2.0) + self.p
 
     @property
     def beta(self) -> float:
@@ -105,6 +105,31 @@ class Params:
     def gamma(self) -> float:
         """beta/(p-1) < beta; exponent in the vanishing-gauge criterion."""
         return self.beta / (self.p - 1.0)
+
+    @property
+    def pp(self) -> float:
+        """p/(p-1), the exponent of chi."""
+        return self.p / (self.p - 1.0)
+
+    @property
+    def m(self) -> float:
+        """(p-1)/(p-2), the exponent of Q in w_C and of the Barenblatt profile."""
+        return (self.p - 1.0) / (self.p - 2.0)
+
+    @property
+    def kap(self) -> float:
+        """(p-2)/(p lam^(1/(p-1))), the coefficient of chi in Q = C + kap chi."""
+        return (self.p - 2.0) / (self.p * self.lam ** (1.0 / (self.p - 1.0)))
+
+    def chi(self, r, s):
+        """chi = (r/s^(1/lam))^(p/(p-1)) at elapsed time s > 0: s = t for the
+        source solution, s = -t for the barrier family."""
+        return r ** self.pp * s ** (-self.pp / self.lam)
+
+    def envelope(self, C, delta, t, scale=1.0):
+        """scale * rho_C(t), rho_C = C^(1/(p-2)) delta^((p-1)/(p-2)) (-t)^(-n/lam)."""
+        return (scale * C ** (1.0 / (self.p - 2.0)) * delta ** self.m
+                * (-t) ** (-self.n / self.lam))
 
 
 def _is(x, c):
@@ -314,10 +339,7 @@ def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.
     (C alpha)^(p-1) (n + alpha) r^alpha = (C alpha)^(p-1) lambda/(p-2) r^alpha,
     and for alpha = p/(p-1), C > 0, to the r-independent constant (C alpha)^(p-1) n.
     """
-    if p <= 1:
-        raise DomainError(f"p must exceed 1, got p={p}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got n={n}")
+    Params(p=p, n=n)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("radius must be nonnegative")
@@ -333,16 +355,15 @@ def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.
     return _unwrap(coeff * r ** expo)
 
 
-def p_laplacian_radial_fd(
-    u, p: float, n: int, r: float, t: float, h: float = 1e-4
-) -> float:
+def p_laplacian_radial_fd(u, p: float, n: int, r, t, h=1e-4):
     """Second-order conservative finite-difference oracle for Lap_p u at (r, t).
 
     Discretizes r^(1-n) d/dr ( r^(n-1) |u_r|^(p-2) u_r ) with centered slopes
     at the half points r +- h/2.  Independent of any closed form attached to u.
     Meaningless at points where u is not smooth; the caller must keep h < r/2.
+    r, t and h may be arrays of one broadcast shape.
     """
-    if not (0 < h < r / 2):
+    if not np.all((0 < h) & (h < r / 2)):
         raise DomainError(f"need 0 < h < r/2, got h={h}, r={r}")
     fn = u.fn if isinstance(u, SpaceTimeFunction) else u
     up, u0, um = fn(r + h, t), fn(r, t), fn(r - h, t)
@@ -350,7 +371,7 @@ def p_laplacian_radial_fd(
     s_minus = (u0 - um) / h
     f_plus = (r + h / 2.0) ** (n - 1) * _phi(s_plus, p)
     f_minus = (r - h / 2.0) ** (n - 1) * _phi(s_minus, p)
-    return float(r ** (1 - n) * (f_plus - f_minus) / h)
+    return _unwrap(np.asarray(r ** (1 - n) * (f_plus - f_minus) / h, dtype=float))
 
 
 def barenblatt_support_radius(t: float, p: float, n: int, C: float) -> float:
@@ -359,15 +380,14 @@ def barenblatt_support_radius(t: float, p: float, n: int, C: float) -> float:
     Finite only for p > 2; for p < 2 the profile is positive everywhere and
     +inf is returned.
     """
-    lam = lambda_of(p, n)
-    if lam <= 0 or p == 2:
+    pars = Params(p=p, n=n)
+    if pars.lam <= 0 or p == 2:
         raise DomainError("requires lambda > 0 and p != 2")
     if t <= 0:
         raise DomainError("requires t > 0")
     if p < 2:
         return math.inf
-    b = (p - 2.0) / p * lam ** (1.0 / (1.0 - p))
-    return t ** (1.0 / lam) * (C / b) ** ((p - 1.0) / p)
+    return t ** (1.0 / pars.lam) * (C / pars.kap) ** ((p - 1.0) / p)
 
 
 def barenblatt(r, t, p: float, n: int, C: float):
@@ -394,16 +414,15 @@ def barenblatt_function(p: float, n: int, C: float) -> SpaceTimeFunction:
         raise DomainError("p = 2 (Gaussian kernel) is unsupported")
     if C <= 0:
         raise DomainError(f"C must be positive, got {C}")
-    lam = lambda_of(p, n)
-    if lam <= 0:
-        raise DomainError(f"lambda = {lam} must be positive")
-    b = (p - 2.0) / p * lam ** (1.0 / (1.0 - p))
-    m = (p - 1.0) / (p - 2.0)
+    pars = Params(p=p, n=n)
+    if pars.lam <= 0:
+        raise DomainError(f"lambda = {pars.lam} must be positive")
+    lam, m, kap = pars.lam, pars.m, pars.kap
 
     def u(r, t):
-        base = C - b * (r / t ** (1.0 / lam)) ** (p / (p - 1.0))
+        base = C - kap * pars.chi(r, t)
         if p < 2:
-            return t ** (-n / lam) * base ** m      # b < 0, so base >= C > 0
+            return t ** (-n / lam) * base ** m      # kap < 0, so base >= C > 0
         inside = base > 0.0
         return where(inside, t ** (-n / lam) * where(inside, base, 1.0) ** m, 0.0)
 
@@ -449,19 +468,12 @@ def residual(
         lap = np.where(flat, 0.0, lap)
         return _unwrap(ut - lap)
     if method == "fd":
-        rs = np.atleast_1d(np.asarray(r, dtype=float))
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        rs, ts = np.broadcast_arrays(rs, ts)
-        out = np.empty(rs.shape)
-        it = np.nditer(rs, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            ri, ti = float(rs[idx]), float(ts[idx])
-            ht = h * max(abs(ti), 1.0)
-            dtu = (u.fn(ri, ti + ht) - u.fn(ri, ti - ht)) / (2.0 * ht)
-            lap = p_laplacian_radial_fd(u, p, n, ri, ti, h=min(h, ri / 4.0))
-            out[idx] = dtu - lap
-        return out if np.ndim(r) or np.ndim(t) else float(out.reshape(-1)[0])
+        r = np.asarray(r, dtype=float)
+        t = np.asarray(t, dtype=float)
+        ht = h * np.maximum(np.abs(t), 1.0)
+        dtu = (u.fn(r, t + ht) - u.fn(r, t - ht)) / (2.0 * ht)
+        lap = p_laplacian_radial_fd(u, p, n, r, t, h=np.minimum(h, r / 4.0))
+        return _unwrap(np.asarray(dtu - lap, dtype=float))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -181,8 +181,12 @@ def profile_from_csv(path) -> DomainProfile:
         for row in reader:
             if not row or row[0].strip().lower() in ("t", "# t"):
                 continue
-            ts.append(float(row[0]))
-            zs.append(float(row[1]))
+            try:
+                ts.append(float(row[0]))
+                zs.append(float(row[1]))
+            except (ValueError, IndexError) as err:
+                raise DomainError(f"{path}, line {reader.line_num}: need numeric t,zeta, "
+                                  f"got {row!r}") from err
     return profile_from_samples(np.array(ts), np.array(zs))
 
 
@@ -232,13 +236,6 @@ class Gauge:
     def weighted(self, t):
         return (-np.asarray(t, dtype=float)) ** (-self.beta) * self.delta(t)
 
-    def check_monotone(self) -> bool:
-        """Weighted-gauge monotonicity on the stored samples, to 1e-12."""
-        if self.t_samples is None:
-            return self.monotone_flag
-        w = self.weighted(self.t_samples)
-        return bool(np.all(np.diff(w) >= -1e-12))
-
 
 def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
     """Raw gauge delta = (zeta/(-t)^(1/lam))^(p/(p-1)) of a profile.
@@ -251,13 +248,12 @@ def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
     lam, beta = pars.lam, pars.beta
     if lam <= 0:
         raise DomainError(f"lambda = {lam} must be positive")
-    pp = p / (p - 1.0)
     ts = geometric_times(profile.t0)
     meta = {"p": p, "n": n, "lambda": lam, "kind": profile.kind}
 
     if profile.kind == "power":
-        Kd = profile.K ** pp
-        e = (profile.q - 1.0 / lam) * pp
+        Kd = profile.K ** pars.pp
+        e = (profile.q - 1.0 / lam) * pars.pp
         delta, ddelta = _power_law(Kd, e)
         monotone = e <= beta + 1e-15
         meta |= {"amp": Kd, "exp": e}
@@ -266,7 +262,7 @@ def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
 
         def delta(t):
             t = np.asarray(t, dtype=float)
-            return (zeta(t) / (-t) ** (1.0 / lam)) ** pp
+            return pars.chi(zeta(t), -t)
 
         ddelta = None
         w = (-ts) ** (-beta) * delta(ts)
@@ -401,11 +397,14 @@ def scale_domain(profile: DomainProfile, a: float, p: float):
     if profile.kind in ("power", "petrovskii_loglog"):
         return make_profile(profile.kind, K=a * profile.K, q=profile.q, t0=profile.t0), factor
     zeta, dzeta = profile.zeta, profile.dzeta
+    meta = dict(profile.meta, scaled_by=a)
+    if "z_samples" in meta:
+        meta["z_samples"] = a * meta["z_samples"]
     scaled = DomainProfile(
         kind=profile.kind,
         t0=profile.t0,
         zeta=lambda t: a * zeta(t),
         dzeta=(lambda t: a * dzeta(t)) if dzeta is not None else None,
-        meta=dict(profile.meta, scaled_by=a),
+        meta=meta,
     )
     return scaled, factor

@@ -118,7 +118,6 @@ class GridField:
     y_nodes: np.ndarray
     t_nodes: np.ndarray
     values: np.ndarray          # shape (len(t_nodes), len(y_nodes))
-    params: Params
     profile: DomainProfile
     meta: dict = field(default_factory=dict)
 
@@ -403,6 +402,7 @@ def solve_dirichlet(
     t_nodes may override the time grid (used by restriction experiments).
     """
     cfg = cfg or SolverConfig()
+    Params(p=p, n=n)            # rejects bad p and n before any step
     if cfg.n_y < 3:
         raise DomainError("need at least 3 y-nodes")
     if profile.dzeta is None:
@@ -436,9 +436,8 @@ def solve_dirichlet(
         v = stepper.step(v, t_new, dt, bc, k)
         values[k] = v
 
-    pars = Params(p=p, n=n, q=profile.q, K=profile.K, t0=profile.t0)
     return GridField(
-        y_nodes=y, t_nodes=ts, values=values, params=pars, profile=profile,
+        y_nodes=y, t_nodes=ts, values=values, profile=profile,
         meta={"data_min": data_min, "data_max": data_max,
               "stats": dict(stepper.stats)},
     )

@@ -5,11 +5,12 @@ declared tensor grids (geometric time levels x uniform relative-radius
 levels strictly inside the cusp) and record the worst signed violation with
 its location.  They never claim a proof; limits (decay at the tip, growth at
 the far boundary) are checked along finitely many declared approach
-sequences.  Identical inputs produce bit-identical reports: grids are
-deterministic, reductions are index-ordered, and the JSON form is
-
-    canonically sorted with 17-significant-digit floats; the report hash
-    excludes the timestamp field.
+sequences.  The barrier-family certificate evaluates each member once per
+sample set (grid, decay rays, boundary samples) and reduces with numpy, so
+a NaN anywhere fails the condition it enters.  Identical inputs produce
+bit-identical reports: grids are deterministic, reductions are
+index-ordered, and the JSON form is canonically sorted with
+17-significant-digit floats; the report hash excludes the timestamp field.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierSpec, _family_geometry
-from .calculus import SpaceTimeFunction, residual
+from .barriers import BarrierSpec
+from .calculus import Params, SpaceTimeFunction, residual
 from .domains import DomainProfile, scale_domain
 from .errors import DomainError
 from .solver import SolverConfig, solve_dirichlet
@@ -238,11 +239,15 @@ def check_barrier_family(
     (iii) growth away from the tip: for each k <= k_max some member's
           infimum over boundary samples with |(r, t)| >= 1/k is >= k; the
           selected index j(k) is recorded (nondecreasing in k).  A ladder too
-          short for some k is reported inconclusive, not failed.
+          short for some k, or a level k with no sample that far out, is
+          reported inconclusive, not failed.
 
-    Member continuity in the open cylinder (closed formulas) is recorded as
-    trivially satisfied; the strong-family gauge condition is out of scope
-    because its gauge function is existential.
+    Besides check_sign's derivative pass, each member is evaluated once on
+    each sample set (grid, rays, boundary) and every minimum is numpy's, so
+    a NaN anywhere fails its condition.  Member continuity in the open
+    cylinder (closed formulas) is recorded as trivially satisfied; the
+    strong-family gauge condition is out of scope because its gauge
+    function is existential.
     """
     if not family:
         raise DomainError("empty family")
@@ -251,32 +256,27 @@ def check_barrier_family(
         raise DomainError("family ladder must have strictly increasing C")
     if grid is None:
         grid = make_cert_grid(profile)
-    geo = _family_geometry(p, n)
-    details: dict = {"ladder_C": Cs, "k_max": k_max}
-    worst_overall = np.inf
-    worst_loc = None
-    all_pass = True
-    inconclusive = False
-
+    pars = Params(p=p, n=n)
     tol = SIGN_TOL
     R, T = grid.meshes(profile)
-    kap_chi = geo.kap * geo.chi(R, T)
+    kap_chi = pars.kap * pars.chi(R, -T)
     t_col = grid.t_levels[:, None]      # gauge factors depend on t only
+    t_ray = profile.t0 * (1e-8) ** (np.arange(1, 65) / 64)
+    y_ray = (np.arange(1, _N_RAYS + 1)) / (_N_RAYS + 1.0)
+    r_ray = y_ray[:, None] * np.asarray(profile.zeta(t_ray), dtype=float)
+    rb, tb = _boundary_samples(profile, n_each=_N_BOUNDARY)
 
-    # (i) positivity + supersolution + sandwich + lower bound per member
-    member_reports = []
+    member_reports, decay, reps, on_boundary = [], [], [], []
     for spec in family:
-        w = spec.fn
-        gauge = spec.gauge
-        C = spec.constants["C"]
+        w, delta, C = spec.fn, spec.gauge.delta, spec.constants["C"]
+        # (i) positivity + supersolution + sandwich + lower bound
         rep = check_sign(w, profile, p, n, grid=grid)
         vals = np.asarray(w(R, T), dtype=float)
         pos_min = float(vals.min())
         Q = C + kap_chi
         sandwich_lo = float((Q - C).min())
         sandwich_hi = float((2.0 * C - Q).min())
-        dh = np.asarray(gauge.delta(t_col), dtype=float)
-        lower = geo.envelope(C, dh, t_col, scale=1.0 / p)
+        lower = pars.envelope(C, np.asarray(delta(t_col), dtype=float), t_col, scale=1.0 / p)
         lower_margin = float((vals - lower).min())
         ok = (rep.passed and pos_min > 0.0 and sandwich_lo >= -tol
               and sandwich_hi >= -tol and lower_margin >= -tol)
@@ -286,56 +286,33 @@ def check_barrier_family(
             "sandwich_margin_high": sandwich_hi, "lower_bound_margin": lower_margin,
             "pass": bool(ok),
         })
-        all_pass = all_pass and ok
-        if rep.worst_violation < worst_overall:
-            worst_overall = rep.worst_violation
-            worst_loc = rep.worst_location
-    details["condition_i_members"] = member_reports
-
-    # (ii) decay along rays below the vanishing envelope rho_C
-    t_ray = profile.t0 * (1e-8) ** (np.arange(1, 65) / 64)
-    y_ray = (np.arange(1, _N_RAYS + 1)) / (_N_RAYS + 1.0)
-    decay = []
-    for spec in family:
-        w, gauge, C = spec.fn, spec.gauge, spec.constants["C"]
-        dh = np.asarray(gauge.delta(t_ray), dtype=float)
-        rho = geo.envelope(C, dh, t_ray)
-        below = np.inf
-        for y in y_ray:
-            rv = y * np.asarray(profile.zeta(t_ray), dtype=float)
-            below = min(below, float((rho - np.asarray(w(rv, t_ray), dtype=float)).min()))
+        reps.append(rep)
+        # (ii) decay along the rays below the vanishing envelope rho_C
+        rho = pars.envelope(C, np.asarray(delta(t_ray), dtype=float), t_ray)
+        below = float(np.min(rho - np.asarray(w(r_ray, t_ray), dtype=float)))
         tail = rho[-16:]
         vanishing = bool(np.all(np.diff(tail) < 0) and tail[-1] < 0.5 * rho[0])
-        ok = below >= -tol and vanishing
         decay.append({"C": C, "below_envelope_margin": below,
                       "envelope_tail_value": float(tail[-1]),
-                      "envelope_vanishing": vanishing, "pass": bool(ok)})
-        all_pass = all_pass and ok
-    details["condition_ii_decay"] = decay
+                      "envelope_vanishing": vanishing,
+                      "pass": bool(below >= -tol and vanishing)})
+        on_boundary.append(np.asarray(w(rb, tb), dtype=float))
+    all_pass = all(m["pass"] for m in member_reports + decay)
+    worst = min(reps, key=lambda rep: rep.worst_violation)
+    details: dict = {"ladder_C": Cs, "k_max": k_max,
+                     "condition_i_members": member_reports, "condition_ii_decay": decay}
 
-    # (iii) growth: ladder member beating level k away from the tip
-    rb, tb = _boundary_samples(profile, n_each=_N_BOUNDARY)
-    dist = np.sqrt(rb * rb + tb * tb)
-    j_of_k = {}
-    for k in range(1, k_max + 1):
-        mask = dist >= 1.0 / k
-        if not np.any(mask):
-            j_of_k[k] = None
-            inconclusive = True
-            continue
-        found = None
-        for j, spec in enumerate(family):
-            inf_val = float(np.min(np.asarray(spec.fn(rb[mask], tb[mask]), dtype=float)))
-            if inf_val >= k:
-                found = j
-                break
-        if found is None:
-            inconclusive = True
-        j_of_k[k] = found
-    details["condition_iii_j_of_k"] = {str(k): v for k, v in j_of_k.items()}
+    # (iii) growth: j(k) is the first member whose infimum over the boundary
+    # samples at distance >= 1/k is at least k
+    levels = np.arange(1, k_max + 1)
+    far = np.sqrt(rb * rb + tb * tb) >= 1.0 / levels[:, None]             # (k_max, samples)
+    inf_far = np.where(far[:, None], np.array(on_boundary), np.inf).min(axis=2)
+    beats = inf_far >= levels[:, None]                                  # (k_max, members)
+    js = [int(np.argmax(b)) if f.any() and b.any() else None for f, b in zip(far, beats)]
+    inconclusive = None in js
+    details["condition_iii_j_of_k"] = {str(k): j for k, j in zip(levels, js)}
     details["condition_iii_inconclusive"] = inconclusive
     if not inconclusive:
-        js = [j_of_k[k] for k in range(1, k_max + 1)]
         all_pass = all_pass and all(a <= b for a, b in zip(js, js[1:]))
     details["condition_iv_continuity"] = "closed formulas; continuous in the open domain"
     details["condition_v_strong_gauge"] = "out of scope (existential gauge function)"
@@ -347,8 +324,8 @@ def check_barrier_family(
         condition="barrier family conditions (i)-(iii)" + (" [INCONCLUSIVE]" if inconclusive else ""),
         grid=grid.describe() | {"hash": grid.hash(), "n_boundary": 2 * _N_BOUNDARY,
                                 "n_rays": _N_RAYS},
-        worst_violation=float(worst_overall),
-        worst_location=worst_loc,
+        worst_violation=float(worst.worst_violation),
+        worst_location=worst.worst_location,
         passed=passed,
         tolerance=tol,
         details=details,

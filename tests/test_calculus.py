@@ -47,6 +47,16 @@ class TestParams:
         assert pr.gamma == pytest.approx(1.0 / 5.0)
         assert pr.gamma < pr.beta
 
+    def test_self_similar_exponents(self):
+        pr = Params(p=3.0, n=2)
+        assert (pr.pp, pr.m) == (1.5, 2.0)
+        assert pr.kap == pytest.approx(1.0 / (3.0 * math.sqrt(5.0)), rel=1e-15)
+        # the source solution's free boundary is where kap chi(r, t) = C
+        rs = barenblatt_support_radius(0.7, 3.0, 2, 1.3)
+        assert pr.kap * pr.chi(rs, 0.7) == pytest.approx(1.3, rel=1e-14)
+        # rho_C at delta = 1, t = -1 is C^(1/(p-2))
+        assert pr.envelope(4.0, 1.0, -1.0) == 4.0
+
     def test_invariants(self):
         with pytest.raises(DomainError):
             Params(p=0.9, n=2)
@@ -156,6 +166,8 @@ class TestBarenblatt:
             barenblatt(0.1, 1.0, 1.2, 2, 1.0)       # lambda = -0.4 <= 0
         with pytest.raises(DomainError):
             barenblatt(0.1, -1.0, 3.0, 2, 1.0)      # t <= 0
+        with pytest.raises(DomainError):
+            barenblatt_function(3.0, 2.5, 1.0)       # n is a dimension
 
     def test_fd_residual_small(self):
         B = barenblatt_function(3.0, 2, 1.0)

@@ -97,6 +97,13 @@ class TestProfiles:
         with pytest.raises(DomainError, match="samples must be finite"):
             profile_from_csv(path)
 
+    @pytest.mark.parametrize("bad_row", ["-0.5,abc", "-0.5"])
+    def test_csv_bad_row_is_domain_error_naming_the_line(self, tmp_path, bad_row):
+        path = tmp_path / "profile.csv"
+        path.write_text(f"t,zeta\n-1.0,1.0\n{bad_row}\n-0.1,0.3\n")
+        with pytest.raises(DomainError, match="line 3"):
+            profile_from_csv(path)
+
 
 class TestGauge:
     def test_constant_gauge_when_exponents_cancel(self):
@@ -170,7 +177,9 @@ class TestEnvelope:
         env = envelope_gauge(prof, p, n)
         ts = raw.t_samples
         assert np.allclose(env.delta(ts), 1.5 * np.asarray(raw.delta(ts)), rtol=1e-12)
-        assert env.monotone_flag and env.check_monotone()
+        w = env.weighted(ts)
+        assert env.monotone_flag
+        assert np.all(np.diff(w) >= -1e-12 * np.maximum(1.0, w[:-1]))
 
     def test_staircase_strict_sandwich(self):
         ts = -np.logspace(0, -4, 120)[1:]
@@ -209,7 +218,7 @@ class TestEnvelope:
         assert np.all(tilde < dhat) and np.all(dhat < 2.0 * tilde)
         w = env.weighted(ts)
         assert np.all(np.diff(w) >= -1e-12 * np.maximum(1.0, w[:-1]))
-        assert env.monotone_flag and env.check_monotone()
+        assert env.monotone_flag
         # central differences between samples, where the envelope is one cubic
         for tm in -np.sqrt(ts[:-1] * ts[1:])[::10]:
             h = 1e-6 * abs(tm)
@@ -268,6 +277,8 @@ class TestScaleDomain:
         assert scaled.kind == "tabulated" and scaled.meta["scaled_by"] == 2.0
         assert np.allclose(scaled.zeta(ts), 2.0 * prof.zeta(ts), rtol=1e-15)
         assert np.allclose(scaled.dzeta(ts), 2.0 * prof.dzeta(ts), rtol=1e-15)
+        assert np.array_equal(scaled.meta["z_samples"], 2.0 * prof.meta["z_samples"])
+        assert np.array_equal(scaled.meta["t_samples"], prof.meta["t_samples"])
         assert factor == pytest.approx(2.0 ** -3.0)
 
     def test_p2_unsupported(self):

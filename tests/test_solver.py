@@ -69,6 +69,18 @@ class TestTimeGrid:
 
 
 class TestSolveDirichlet:
+    @pytest.mark.parametrize("p, n", [(0.9, 1), (3.0, 0)])
+    def test_bad_p_or_n_rejected_before_any_step(self, power_profile, p, n):
+        calls = []
+
+        def f(r, t):
+            calls.append(t)
+            return 0.5 + 0.0 * np.asarray(r, dtype=float)
+
+        with pytest.raises(DomainError):
+            solve_dirichlet(power_profile, p, n, f, SolverConfig(n_y=17, n_t=20))
+        assert calls == []
+
     def test_constants_are_exact(self, power_profile):
         cfg = SolverConfig(n_y=33, n_t=50, eps_min=1e-2)
         f = lambda r, t: 0.7 + 0.0 * np.asarray(r, dtype=float)

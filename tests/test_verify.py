@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from petrocheck.barriers import find_family_threshold, make_barrier
-from petrocheck.calculus import SpaceTimeFunction
+from petrocheck.calculus import Params, SpaceTimeFunction
 from petrocheck.domains import envelope_gauge, make_profile
 from petrocheck.errors import DomainError
 from petrocheck.solver import SolverConfig
 from petrocheck.verify import (
+    _boundary_samples,
     canonical_json,
     check_barrier_family,
     check_comparison,
@@ -154,6 +157,58 @@ class TestBarrierFamily:
         for entry in rep.details["condition_ii_decay"]:
             assert entry["below_envelope_margin"] >= -1e-10
             assert entry["envelope_vanishing"]
+
+    def test_rays_and_levels_match_one_loop_each(self, family_setup):
+        # reference: each member on one ray, and on the samples of one level,
+        # at a time; the minima are exact, so the results are equal
+        prof, gauge, _, ladder = family_setup
+        rep = check_barrier_family(ladder, prof, 3.0, 1, k_max=6,
+                                   grid=make_cert_grid(prof, 16, 16))
+        t_ray = prof.t0 * (1e-8) ** (np.arange(1, 65) / 64)
+        rb, tb = _boundary_samples(prof, n_each=256)
+        dist = np.sqrt(rb * rb + tb * tb)
+        for spec, entry in zip(ladder, rep.details["condition_ii_decay"]):
+            rho = Params(p=3.0, n=1).envelope(spec.constants["C"], gauge.delta(t_ray), t_ray)
+            below = min(np.min(rho - spec.fn(y * prof.zeta(t_ray), t_ray))
+                        for y in np.arange(1, 9) / 9.0)
+            assert entry["below_envelope_margin"] == below
+        for k in range(1, 7):
+            far = dist >= 1.0 / k
+            j = next((j for j, spec in enumerate(ladder)
+                      if np.min(spec.fn(rb[far], tb[far])) >= k), None)
+            assert rep.details["condition_iii_j_of_k"][str(k)] == j
+
+    def test_nan_near_the_tip_fails_decay(self, family_setup):
+        # NaN only for t > -1e-7: the grid stops at -1e-6, the rays reach -1e-8
+        prof, _, _, ladder = family_setup
+
+        def nan_near_tip(fn):
+            return lambda r, t: np.where(np.asarray(t) > -1e-7, np.nan, fn(r, t))
+
+        broken = [replace(spec, fn=replace(spec.fn, fn=nan_near_tip(spec.fn.fn)))
+                  for spec in ladder]
+        rep = check_barrier_family(broken, prof, 3.0, 1, k_max=4,
+                                   grid=make_cert_grid(prof, 32, 32))
+        assert not rep.passed
+        assert all(m["pass"] for m in rep.details["condition_i_members"])
+        for entry in rep.details["condition_ii_decay"]:
+            assert np.isnan(entry["below_envelope_margin"]) and not entry["pass"]
+
+    def test_level_without_far_samples_is_inconclusive(self):
+        # at t0 = -0.1 every boundary sample lies within 0.34 of the tip, so
+        # levels k = 1..3 have no sample at distance >= 1/k
+        prof = make_profile("power", K=1.0, q=0.5, t0=-0.1)
+        gauge = envelope_gauge(prof, 3.0, 1)
+        C0, _ = find_family_threshold(3.0, 1, gauge)
+        ladder = [make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, K=1.0,
+                               t0=-0.1, C=C0 * 2 ** j, gauge=gauge) for j in range(9)]
+        rep = check_barrier_family(ladder, prof, 3.0, 1, k_max=4,
+                                   grid=make_cert_grid(prof, 32, 32))
+        jk = rep.details["condition_iii_j_of_k"]
+        assert [jk[str(k)] for k in (1, 2, 3)] == [None, None, None]
+        assert isinstance(jk["4"], int)
+        assert rep.details["condition_iii_inconclusive"]
+        assert not rep.passed and "INCONCLUSIVE" in rep.condition
 
 
 class TestSolverChecks:
