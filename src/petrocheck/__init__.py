@@ -6,7 +6,6 @@ from .calculus import (
     SpaceTimeFunction,
     barenblatt,
     barenblatt_function,
-    lambda_of,
     p_laplacian_radial_fd,
     p_laplacian_radial_power,
     residual,

@@ -29,12 +29,12 @@ certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .calculus import Params, SpaceTimeFunction, lambda_of, lift, minimum, where
+from .calculus import Params, SpaceTimeFunction, lift, minimum, where
 from .domains import DomainProfile, Gauge, make_profile
 from .errors import DomainError
 
@@ -65,29 +65,33 @@ BARRIER_KINDS = (
 )
 
 
-def _check_singular(p, q, strict_q=False):
+def _singular(p, n, q=None, strict_q=False) -> Params:
+    """Params of the singular range 1 < p < 2; a given q must satisfy
+    0 < q <= 1/p (0 < q < 1/p if strict_q)."""
     if not (1 < p < 2):
         raise DomainError(f"requires 1 < p < 2, got p={p}")
-    if strict_q:
-        if not (0 < q < 1.0 / p):
-            raise DomainError(f"requires 0 < q < 1/p = {1.0 / p}, got q={q}")
-    else:
-        if not (0 < q <= 1.0 / p):
-            raise DomainError(f"requires 0 < q <= 1/p = {1.0 / p}, got q={q}")
+    if q is not None and not (0 < q and (q < 1.0 / p if strict_q else q <= 1.0 / p)):
+        op = "<" if strict_q else "<="
+        raise DomainError(f"requires 0 < q {op} 1/p = {1.0 / p}, got q={q}")
+    return Params(p=p, n=n)
+
+
+def _degenerate(p, n) -> Params:
+    """Params of the degenerate range p > 2."""
+    if p <= 2:
+        raise DomainError(f"requires p > 2, got p={p}")
+    return Params(p=p, n=n)
 
 
 def b_const(p: float, n: int) -> float:
     """Coefficient clamp B = min{ n(2-p) (p/(p-1))^(p-1), 1 } for 1 < p < 2."""
-    if not (1 < p < 2):
-        raise DomainError(f"requires 1 < p < 2, got p={p}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got n={n}")
+    _singular(p, n)
     return min(n * (2.0 - p) * (p / (p - 1.0)) ** (p - 1.0), 1.0)
 
 
 def m_const(p: float, q: float, n: int) -> float:
     """Pasting level M = (B/2)^(1 + (p-1)/(pq(2-p))) of the traditional barrier."""
-    _check_singular(p, q)
+    _singular(p, n, q)
     B = b_const(p, n)
     return (B / 2.0) ** (1.0 + (p - 1.0) / (p * q * (2.0 - p)))
 
@@ -97,19 +101,15 @@ def c_max(p: float, n: int) -> float:
 
     c_max = ( (p-2)^(p-1) / (lam p^(p-1)) )^(1/(p-2)), lam = n(p-2)+p.
     """
-    if p <= 2:
-        raise DomainError(f"requires p > 2, got p={p}")
-    lam = lambda_of(p, n)
+    lam = _degenerate(p, n).lam
     return ((p - 2.0) ** (p - 1.0) / (lam * p ** (p - 1.0))) ** (1.0 / (p - 2.0))
 
 
 def small_data_amplitude(p: float, n: int, beta: float) -> float:
     """Amplitude A = ( (beta/lam) (1 - 2/p)^(p-1) )^(1/(p-2)) of the small-data barrier."""
-    if p <= 2:
-        raise DomainError(f"requires p > 2, got p={p}")
+    lam = _degenerate(p, n).lam
     if beta <= 0:
         raise DomainError(f"requires beta > 0, got {beta}")
-    lam = lambda_of(p, n)
     return ((beta / lam) * (1.0 - 2.0 / p) ** (p - 1.0)) ** (1.0 / (p - 2.0))
 
 
@@ -129,9 +129,7 @@ def singular_irregularity_barrier(p: float, q: float, n: int) -> SpaceTimeFuncti
     = pq/(p-1) r^(p/(p-1)) (-t)^(-1-pq/(p-1)) >= 0, vanishing only on the
     axis, while u(0, t) -> 0 as t -> 0-.
     """
-    _check_singular(p, q, strict_q=True)
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got n={n}")
+    _singular(p, n, q, strict_q=True)
     pp = p / (p - 1.0)
     a = p * q / (p - 1.0)
     c2 = n / (1.0 - p * q) * (p / (p - 1.0)) ** (p - 1.0)
@@ -157,9 +155,7 @@ def singular_traditional_barrier(p: float, q: float, n: int) -> SpaceTimeFunctio
     branch contributes zero residual); the pasting itself is classical and
     is not re-derived here.
     """
-    _check_singular(p, q)
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got n={n}")
+    _singular(p, n, q)
     pp = p / (p - 1.0)
     c = 1.0 / (2.0 - p)
     B = b_const(p, n)
@@ -182,7 +178,7 @@ def small_data_bound_g(p: float, q: float, n: int) -> SpaceTimeFunction:
     though the cusp is irregular.  g depends on t only and is constant for
     -t beyond the clamp threshold.
     """
-    _check_singular(p, q)
+    _singular(p, n, q)
     B = b_const(p, n)
     thr = (B / 2.0) ** ((p - 1.0) / (p * q))
     c = 1.0 / (2.0 - p)
@@ -206,10 +202,7 @@ def degenerate_irregularity_barrier(p: float, n: int, C: float) -> SpaceTimeFunc
     i.e. C <= c_max(p, n); larger C is rejected.  Vanishes identically on
     the axis while the induced boundary datum equals C at the tip.
     """
-    if p <= 2:
-        raise DomainError(f"requires p > 2, got p={p}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got n={n}")
+    _degenerate(p, n)
     cm = c_max(p, n)
     if not (0 < C <= cm * (1.0 + 1e-12)):
         raise DomainError(
@@ -235,8 +228,7 @@ def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> Sp
     closed cusp |x| < (-t)^q, -1 < t < 0, with value 0 at the tip; beta >= pq
     is rejected (continuity at the origin would fail).
     """
-    if p <= 2:
-        raise DomainError(f"requires p > 2, got p={p}")
+    _degenerate(p, n)
     if not (0 < q <= 1.0 / p):
         raise DomainError(f"requires 0 < q <= 1/p = {1.0 / p}, got q={q}")
     if not (0 < beta < p * q):
@@ -275,15 +267,13 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
     construction is a supersolution once C passes find_family_threshold;
     smaller C is allowed here but flagged in meta["below_threshold_unknown"].
     """
-    if p <= 2:
-        raise DomainError(f"requires p > 2, got p={p}")
+    pars = _degenerate(p, n)
     if C <= 0:
         raise DomainError(f"requires C > 0, got {C}")
     if gauge.ddelta is None:
         raise DomainError("gauge must carry a closed-form derivative (use envelope_gauge)")
     if not gauge.monotone_flag:
         raise DomainError("gauge must be weighted-monotone (use envelope_gauge)")
-    pars = Params(p=p, n=n)
     lam, m, kap = pars.lam, pars.m, pars.kap
     cpow = C ** (1.0 / (p - 2.0))
 
@@ -320,11 +310,9 @@ def find_family_threshold(p: float, n: int, gauge: Gauge):
 
     Returns (C0, details) with per-condition worst margins at C0.
     """
-    if p <= 2:
-        raise DomainError(f"requires p > 2, got p={p}")
+    pars = _degenerate(p, n)
     if gauge.ddelta is None or gauge.t_samples is None:
         raise DomainError("gauge must carry samples and a derivative")
-    pars = Params(p=p, n=n)
     lam, m, kap = pars.lam, pars.m, pars.kap
     ts = gauge.t_samples
     d = np.asarray(gauge.delta(ts), dtype=float)
@@ -352,27 +340,27 @@ def find_family_threshold(p: float, n: int, gauge: Gauge):
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """A constructed barrier: kind, parameters, named constants, function."""
+    """A constructed barrier: kind, equation parameters, the cusp on which
+    its inequalities are certified, named constants and the function."""
 
     kind: str
     params: Params
+    profile: DomainProfile
     constants: dict
     fn: SpaceTimeFunction
     gauge: Optional[Gauge] = None
-    meta: dict = field(default_factory=dict)
 
     def reference_profile(self) -> DomainProfile:
         """The domain on which the construction's inequalities are certified."""
-        p = self.params
-        K = p.K if p.K is not None else 1.0
-        return make_profile("power", K=K, q=p.q, t0=p.t0)
+        return self.profile
 
     def to_json_dict(self, grid_hash: str) -> dict:
+        prof = self.profile
         return {
             "kind": self.kind,
             "parameters": {
-                "p": self.params.p, "n": self.params.n, "q": self.params.q,
-                "K": self.params.K, "t0": self.params.t0,
+                "p": self.params.p, "n": self.params.n, "q": prof.q,
+                "K": prof.K, "t0": prof.t0,
             },
             "constants": dict(sorted(self.constants.items())),
             "verification_grid_hash": grid_hash,
@@ -383,39 +371,40 @@ def make_barrier(kind: str, p: float, n: int, q: Optional[float] = None,
                  K: Optional[float] = None, t0: float = -1.0,
                  C: Optional[float] = None, beta: Optional[float] = None,
                  gauge: Optional[Gauge] = None) -> BarrierSpec:
-    """Factory building a BarrierSpec for any of the five kinds."""
-    lam = lambda_of(p, n)
+    """Factory building a BarrierSpec for any of the five kinds.
+
+    The reference cusp is the power profile K(-t)^q from t0, with q = 1/p for
+    degenerate_irregularity; K is 1 unless given to singular_irregularity or
+    degenerate_family_member.
+    """
+    if kind not in BARRIER_KINDS:
+        raise DomainError(f"unknown barrier kind {kind!r}; valid: {BARRIER_KINDS}")
+    params = Params(p=p, n=n)
+    if K is None or kind not in ("singular_irregularity", "degenerate_family_member"):
+        K = 1.0
+    profile = make_profile("power", K=K, t0=t0,
+                           q=1.0 / p if kind == "degenerate_irregularity" else q)
     if kind == "singular_irregularity":
-        if q is None:
-            raise DomainError("singular_irregularity needs q")
         fn = singular_irregularity_barrier(p, q, n)
-        params = Params(p=p, n=n, q=q, K=K or 1.0, t0=t0)
-        consts = {"lambda": lam, "tip_value": 1.0}
+        consts = {"tip_value": 1.0}
     elif kind == "singular_traditional":
-        if q is None:
-            raise DomainError("singular_traditional needs q")
         fn = singular_traditional_barrier(p, q, n)
-        params = Params(p=p, n=n, q=q, K=1.0, t0=t0)
-        consts = {"B": b_const(p, n), "M": m_const(p, q, n), "lambda": lam}
+        consts = {"B": b_const(p, n), "M": m_const(p, q, n)}
     elif kind == "degenerate_irregularity":
         if C is None:
             raise DomainError("degenerate_irregularity needs C")
         fn = degenerate_irregularity_barrier(p, n, C)
-        params = Params(p=p, n=n, q=1.0 / p, K=1.0, t0=t0)
-        consts = {"C": C, "c_max": c_max(p, n), "lambda": lam}
+        consts = {"C": C, "c_max": c_max(p, n)}
     elif kind == "degenerate_small_data":
-        if q is None or beta is None:
-            raise DomainError("degenerate_small_data needs q and beta")
+        if beta is None:
+            raise DomainError("degenerate_small_data needs beta")
         fn = degenerate_small_data_barrier(p, q, n, beta)
-        params = Params(p=p, n=n, q=q, K=1.0, t0=t0)
-        consts = {"A": small_data_amplitude(p, n, beta), "beta": beta, "lambda": lam}
-    elif kind == "degenerate_family_member":
+        consts = {"A": small_data_amplitude(p, n, beta), "beta": beta}
+    else:
         if C is None or gauge is None:
             raise DomainError("degenerate_family_member needs C and a gauge")
         fn = degenerate_family_member(p, n, gauge, C)
-        params = Params(p=p, n=n, q=q, K=K, t0=t0)
-        consts = {"C": C, "lambda": lam, "beta_gauge": gauge.beta,
-                  "theta": gauge.theta}
-    else:
-        raise DomainError(f"unknown barrier kind {kind!r}; valid: {BARRIER_KINDS}")
-    return BarrierSpec(kind=kind, params=params, constants=consts, fn=fn, gauge=gauge)
+        consts = {"C": C, "beta_gauge": gauge.beta, "theta": gauge.theta}
+    consts["lambda"] = params.lam
+    return BarrierSpec(kind=kind, params=params, profile=profile, constants=consts,
+                       fn=fn, gauge=gauge)

@@ -39,7 +39,6 @@ __all__ = [
     "minimum",
     "lift",
     "SpaceTimeFunction",
-    "lambda_of",
     "p_laplacian_radial_power",
     "p_laplacian_radial_fd",
     "barenblatt",
@@ -50,47 +49,31 @@ __all__ = [
 ]
 
 
-def lambda_of(p: float, n: int) -> float:
-    """Self-similarity scale exponent n(p-2) + p."""
-    return Params(p=p, n=n).lam
-
-
 @dataclass(frozen=True)
 class Params:
-    """Problem parameters and the one holder of the self-similar exponents.
+    """Equation parameters and the one holder of the self-similar exponents.
 
     p : diffusion exponent, > 1 (degenerate for p > 2, singular for p < 2)
     n : spatial dimension, a positive integer
-    q : cusp width exponent (> 0) for power profiles, optional
-    K : cusp width amplitude (> 0), optional
-    t0 : start time, < 0
 
-    lam, pp, m, kap, chi and envelope are shared by the Barenblatt source
-    solution, the gauge and the barrier family w_C; m, kap and envelope
-    need p != 2.
+    The cusp (K, q, t0) belongs to the DomainProfile and is checked by
+    domains.make_profile.  lam, pp, m, kap, chi and envelope are shared by
+    the Barenblatt source solution, the gauge and the barrier family w_C;
+    m, kap and envelope need p != 2.
     """
 
     p: float
     n: int
-    q: Optional[float] = None
-    K: Optional[float] = None
-    t0: float = -1.0
 
     def __post_init__(self):
-        for name in ("p", "n", "q", "K", "t0"):
+        for name in ("p", "n"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {name}={value}")
         if self.p <= 1:
             raise DomainError(f"p must exceed 1, got p={self.p}")
         if self.n < 1 or int(self.n) != self.n:
             raise DomainError(f"n must be a positive integer, got n={self.n}")
-        if self.t0 >= 0:
-            raise DomainError(f"t0 must be negative, got t0={self.t0}")
-        if self.q is not None and self.q <= 0:
-            raise DomainError(f"q must be positive, got q={self.q}")
-        if self.K is not None and self.K <= 0:
-            raise DomainError(f"K must be positive, got K={self.K}")
 
     @property
     def lam(self) -> float:

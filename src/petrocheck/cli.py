@@ -58,6 +58,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _solver_options(sp, n_y, n_t, eps_min) -> None:
+    """Grid and step options of solve and scale-check; read by _solver_config."""
+    base = sol.SolverConfig()
+    sp.add_argument("--grid-y", type=int, default=n_y)
+    sp.add_argument("--grid-t", type=int, default=n_t)
+    sp.add_argument("--eps-reg", type=finite_float, default=base.eps_reg)
+    sp.add_argument("--eps-min", type=finite_float, default=eps_min)
+    sp.add_argument("--c-step", type=finite_float, default=base.c_step)
+
+
 def _solver_config(args) -> sol.SolverConfig:
     return sol.SolverConfig(
         n_y=args.grid_y, n_t=args.grid_t, eps_min=args.eps_min,
@@ -67,9 +77,6 @@ def _solver_config(args) -> sol.SolverConfig:
 
 def cmd_lemma_check(args) -> int:
     """Closed-form vs oracle table for the radial-power p-Laplacian."""
-    if args.p <= 1 or args.n < 1:
-        print("usage error: need p > 1 and n >= 1", file=sys.stderr)
-        return EXIT_USAGE
     rng = np.random.default_rng(20260809)
     rows = []
     for _ in range(args.samples):
@@ -100,16 +107,16 @@ def cmd_barenblatt_check(args) -> int:
     """FD residual of the self-similar source solution at interior points."""
     B = calc.barenblatt_function(args.p, args.n, args.C)
     rng = np.random.default_rng(20260809)
-    residuals = []
+    points = []
     for _ in range(args.points):
         t = float(rng.uniform(0.5, 2.0))
         if args.p > 2:
             rs = calc.barenblatt_support_radius(t, args.p, args.n, args.C)
-            r = float(rng.uniform(0.01 * rs, 0.95 * rs))
+            points.append((float(rng.uniform(0.01 * rs, 0.95 * rs)), t))
         else:
-            r = float(rng.uniform(0.05, 3.0))
-        residuals.append(abs(calc.residual(B, args.p, args.n, r, t, method="fd", h=args.h)))
-    worst = float(np.max(residuals))
+            points.append((float(rng.uniform(0.05, 3.0)), t))
+    r, t = np.array(points).T
+    worst = float(np.max(np.abs(calc.residual(B, args.p, args.n, r, t, method="fd", h=args.h))))
     ok = worst <= args.tol
     print(f"barenblatt-check(p={args.p}, n={args.n}): worst |residual| {worst:.3e}, "
           f"tol {args.tol:.1e}: {'PASS' if ok else 'FAIL'}")
@@ -123,7 +130,7 @@ def cmd_verify(args) -> int:
         gauge = dom.envelope_gauge(profile, args.p, args.n)
         C0, det = bar.find_family_threshold(args.p, args.n, gauge)
         ladder = [bar.make_barrier(args.kind, p=args.p, n=args.n, q=args.q,
-                                   K=args.K, C=C0 * 2 ** j, gauge=gauge)
+                                   K=args.K, t0=args.t0, C=C0 * 2 ** j, gauge=gauge)
                   for j in range(args.ladder + 1)]
         grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
         rep = ver.check_barrier_family(ladder, profile, args.p, args.n,
@@ -284,28 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("classify", help="regularity verdict for a power cusp")
-    sp.add_argument("--p", type=finite_float, required=True)
+    common(sp, n_default=1)
     sp.add_argument("--q", type=finite_float, required=True)
-    sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--K", type=finite_float, default=1.0)
     sp.add_argument("--with-probe", action="store_true")
-    sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("solve", help="march the Dirichlet problem, export CSV")
-    sp.add_argument("--p", type=finite_float, required=True)
-    sp.add_argument("--n", type=int, default=1)
+    common(sp, n_default=1)
     sp.add_argument("--q", type=finite_float, required=True)
     sp.add_argument("--K", type=finite_float, default=1.0)
     sp.add_argument("--t0", type=finite_float, default=-1.0)
     sp.add_argument("--data", type=str, default="probe",
                     help="'probe' or 'const:<value>'")
-    sp.add_argument("--grid-y", type=int, default=129)
-    sp.add_argument("--grid-t", type=int, default=400)
-    sp.add_argument("--eps-reg", type=finite_float, default=1e-8)
-    sp.add_argument("--eps-min", type=finite_float, default=None)
-    sp.add_argument("--c-step", type=finite_float, default=0.5)
-    sp.add_argument("--out", type=str, default=None)
+    _solver_options(sp, n_y=129, n_t=400, eps_min=None)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="classify over a (p, q) grid")
@@ -319,19 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("scale-check", help="dilation equivariance of the solver")
-    sp.add_argument("--p", type=finite_float, required=True)
-    sp.add_argument("--n", type=int, default=1)
+    common(sp, n_default=1)
     sp.add_argument("--a", type=finite_float, default=2.0)
     sp.add_argument("--q", type=finite_float, default=0.5)
     sp.add_argument("--K", type=finite_float, default=1.0)
     sp.add_argument("--t0", type=finite_float, default=-1.0)
-    sp.add_argument("--grid-y", type=int, default=65)
-    sp.add_argument("--grid-t", type=int, default=200)
-    sp.add_argument("--eps-reg", type=finite_float, default=1e-8)
-    sp.add_argument("--eps-min", type=finite_float, default=1e-3)
-    sp.add_argument("--c-step", type=finite_float, default=0.5)
+    _solver_options(sp, n_y=65, n_t=200, eps_min=1e-3)
     sp.add_argument("--tol", type=finite_float, default=1e-3)
-    sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_scale_check)
     return top
 

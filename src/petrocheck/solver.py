@@ -121,10 +121,6 @@ class GridField:
     profile: DomainProfile
     meta: dict = field(default_factory=dict)
 
-    @property
-    def axis_trace(self) -> np.ndarray:
-        return self.values[:, 0]
-
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("t,y,r,u\n")
@@ -525,14 +521,11 @@ def classify(
     The amplitude K is irrelevant for p != 2 (space dilations preserve
     regularity); for p = 2 the verdict is stated for the power profile,
     where q >= 1/2 is regular.  The singular borderline q = 1/p (p < 2) is
-    reported Unknown, never guessed.
+    reported Unknown, never guessed.  Bad p or n (Params) and bad K or q
+    (make_profile) raise DomainError before any work.
     """
-    if not all(math.isfinite(x) for x in (p, q, K)):
-        raise DomainError(f"p, q and K must be finite, got p={p}, q={q}, K={K}")
-    if p <= 1:
-        raise DomainError(f"p must exceed 1, got p={p}")
-    if q <= 0:
-        raise DomainError(f"q must be positive, got q={q}")
+    Params(p=p, n=n)
+    profile = make_profile("power", K=K, q=q, t0=-1.0)
     inv_p = 1.0 / p
     borderline = abs(q - inv_p) <= _BORDERLINE_RTOL * max(1.0, inv_p)
     if p > 2:
@@ -552,7 +545,6 @@ def classify(
             "K_irrelevant": p != 2}
     if with_probe:
         try:
-            profile = make_profile("power", K=K, q=q, t0=-1.0)
             probe = probe_origin(profile, p, n, ladder=ladder)
             trace = probe["trace"]
             trend = probe["trend"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -47,14 +48,10 @@ _N_BOUNDARY = 256         # family certificate: samples on each boundary part
 _N_RAYS = 8               # family certificate: decay rays
 
 
-def _fmt_float(x):
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    return x
-
-
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic RFC 8259 JSON: sorted keys, floats at 17 significant
+    digits, and a non-finite float as the string "NaN", "Infinity" or
+    "-Infinity"."""
 
     def walk(o):
         if isinstance(o, dict):
@@ -62,7 +59,8 @@ def canonical_json(obj) -> str:
         if isinstance(o, (list, tuple)):
             return [walk(v) for v in o]
         if isinstance(o, (np.floating, float)):
-            return _fmt_float(float(o))
+            x = float(o)
+            return float(f"{x:.17g}") if math.isfinite(x) else json.dumps(x)
         if isinstance(o, (np.integer,)):
             return int(o)
         if isinstance(o, np.ndarray):
@@ -71,7 +69,7 @@ def canonical_json(obj) -> str:
             return bool(o)
         return o
 
-    return json.dumps(walk(obj), sort_keys=True)
+    return json.dumps(walk(obj), sort_keys=True, allow_nan=False)
 
 
 def stamp(payload: dict, with_timestamp: bool = False) -> dict:
@@ -251,6 +249,8 @@ def check_barrier_family(
     """
     if not family:
         raise DomainError("empty family")
+    if k_max < 1:
+        raise DomainError(f"k_max must be at least 1, got {k_max}")
     Cs = [spec.constants["C"] for spec in family]
     if any(c2 <= c1 for c1, c2 in zip(Cs, Cs[1:])):
         raise DomainError("family ladder must have strictly increasing C")

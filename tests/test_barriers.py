@@ -205,6 +205,29 @@ def flagship():
     return prof, gauge, C0, details
 
 
+BUILDERS = {
+    "b_const": lambda n, g: b_const(1.5, n),
+    "m_const": lambda n, g: m_const(1.5, 0.25, n),
+    "small_data_bound_g": lambda n, g: small_data_bound_g(1.5, 0.25, n),
+    "singular_irregularity": lambda n, g: singular_irregularity_barrier(1.5, 0.25, n),
+    "singular_traditional": lambda n, g: singular_traditional_barrier(1.5, 0.25, n),
+    "c_max": lambda n, g: c_max(3.0, n),
+    "small_data_amplitude": lambda n, g: small_data_amplitude(3.0, n, 0.5),
+    "degenerate_irregularity": lambda n, g: degenerate_irregularity_barrier(3.0, n, 0.01),
+    "degenerate_small_data": lambda n, g: degenerate_small_data_barrier(3.0, 0.3, n, 0.5),
+    "degenerate_family_member": lambda n, g: degenerate_family_member(3.0, n, g, 4.0),
+    "find_family_threshold": lambda n, g: find_family_threshold(3.0, n, g),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 0])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_dimension_must_be_a_positive_integer(flagship, name, n):
+    _, gauge, _, _ = flagship
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        BUILDERS[name](n, gauge)
+
+
 class TestFamily:
 
     def test_threshold_terminates(self, flagship):
@@ -325,3 +348,17 @@ class TestBarrierSpec:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             make_barrier("nonsense", p=3.0, n=2)
+
+    def test_reference_profile_is_the_given_cusp(self):
+        spec = make_barrier("singular_irregularity", p=1.5, n=2, q=0.25, K=2.0, t0=-0.5)
+        prof = spec.reference_profile()
+        assert (prof.kind, prof.K, prof.q, prof.t0) == ("power", 2.0, 0.25, -0.5)
+        assert spec.to_json_dict("h")["parameters"] == {
+            "p": 1.5, "n": 2, "q": 0.25, "K": 2.0, "t0": -0.5}
+
+    @pytest.mark.parametrize("kind", ["singular_irregularity", "degenerate_family_member"])
+    def test_zero_K_rejected(self, flagship, kind):
+        _, gauge, C0, _ = flagship
+        with pytest.raises(DomainError, match="K must be positive"):
+            make_barrier(kind, p=1.5 if kind.startswith("singular") else 3.0, n=1,
+                         q=0.25, K=0.0, C=C0, gauge=gauge)

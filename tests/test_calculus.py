@@ -11,7 +11,6 @@ from petrocheck.calculus import (
     barenblatt_function,
     barenblatt_support_radius,
     check_derivatives,
-    lambda_of,
     lift,
     minimum,
     p_laplacian_radial_fd,
@@ -28,20 +27,20 @@ def power_field(C, alpha):
 
 class TestLambda:
     def test_values(self):
-        assert lambda_of(3, 2) == 5.0
-        assert lambda_of(2, 7) == 2.0
-        assert lambda_of(1.5, 2) == pytest.approx(0.5)
+        assert Params(p=3, n=2).lam == 5.0
+        assert Params(p=2, n=7).lam == 2.0
+        assert Params(p=1.5, n=2).lam == pytest.approx(0.5)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            lambda_of(1.0, 2)
+            Params(p=1.0, n=2).lam
         with pytest.raises(DomainError):
-            lambda_of(3.0, 0)
+            Params(p=3.0, n=0).lam
 
 
 class TestParams:
     def test_derived_exponents(self):
-        pr = Params(p=3.0, n=2, q=0.5, K=1.0, t0=-1.0)
+        pr = Params(p=3.0, n=2)
         assert pr.lam == 5.0
         assert pr.beta == pytest.approx(2.0 / 5.0)
         assert pr.gamma == pytest.approx(1.0 / 5.0)
@@ -61,17 +60,14 @@ class TestParams:
         with pytest.raises(DomainError):
             Params(p=0.9, n=2)
         with pytest.raises(DomainError):
-            Params(p=3.0, n=2, t0=0.1)
-        with pytest.raises(DomainError):
-            Params(p=3.0, n=2, q=-1.0)
+            Params(p=3.0, n=2.5)
 
-    @given(p=st.floats(1.1, 10.0), n=st.integers(1, 5), q=st.floats(0.05, 2.0),
-           K=st.floats(0.1, 10.0), t0=st.floats(-10.0, -0.01),
-           name=st.sampled_from(["p", "n", "q", "K", "t0"]),
+    @given(p=st.floats(1.1, 10.0), n=st.integers(1, 5),
+           name=st.sampled_from(["p", "n"]),
            bad=st.sampled_from([math.nan, math.inf, -math.inf]))
     @settings(max_examples=60, deadline=None)
-    def test_non_finite_field_rejected(self, p, n, q, K, t0, name, bad):
-        fields = {"p": p, "n": n, "q": q, "K": K, "t0": t0}
+    def test_non_finite_field_rejected(self, p, n, name, bad):
+        fields = {"p": p, "n": n}
         Params(**fields)
         fields[name] = bad
         with pytest.raises(DomainError, match=f"{name} must be finite"):
@@ -91,7 +87,7 @@ class TestRadialPowerFormula:
         # alpha = p/(p-2): equals (C alpha)^(p-1) (n+alpha) r^alpha
         for p, n, C, r in [(3.0, 2, 0.8, 0.9), (4.0, 1, 0.5, 1.3), (2.5, 3, 1.7, 0.4)]:
             alpha = p / (p - 2.0)
-            lam = lambda_of(p, n)
+            lam = Params(p=p, n=n).lam
             got = p_laplacian_radial_power(C, alpha, p, n, r)
             want = (C * alpha) ** (p - 1.0) * lam / (p - 2.0) * r ** alpha
             assert got == pytest.approx(want, rel=1e-12)

@@ -84,6 +84,16 @@ class TestVerify:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "singular_irregularity", "--p", "1.5", "--q", "0.25", "--K", "0"],
+        ["--kind", "degenerate_family_member", "--p", "3", "--q", "0.5", "--n", "1",
+         "--k-max", "0", "--ladder", "1", "--grid-y", "8", "--grid-t", "8"],
+    ])
+    def test_out_of_range_input_usage_error(self, argv, capsys):
+        assert run(["verify"] + argv) == 1
+        captured = capsys.readouterr()
+        assert "precondition violated" in captured.err and captured.out == ""
+
     def test_small_data_passes(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(["verify", "--kind", "degenerate_small_data", "--p", "3",
@@ -121,6 +131,12 @@ class TestClassify:
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["verdict"]["theorem_verdict"] == "Unknown"
 
+
+    @pytest.mark.parametrize("extra", [["--K", "-1"], ["--K", "0"], ["--n", "0", "--with-probe"]])
+    def test_out_of_range_input_usage_error(self, extra, capsys):
+        assert run(["classify", "--p", "3", "--q", "0.5"] + extra) == 1
+        captured = capsys.readouterr()
+        assert "precondition violated" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("p, q", [("nan", "0.5"), ("inf", "0.5"), ("3", "nan")])
     def test_non_finite_input_usage_error(self, p, q, capsys):

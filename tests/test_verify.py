@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -143,8 +144,7 @@ class TestBarrierFamily:
             fn=lambda r, t: np.asarray(base_fn(r, t)) - 1e3,
             dt=orig.fn.dt, dr=orig.fn.dr, drr=orig.fn.drr, label="shifted",
         )
-        bad = orig.__class__(kind=orig.kind, params=orig.params,
-                             constants=orig.constants, fn=shifted, gauge=gauge)
+        bad = replace(orig, fn=shifted)
         rep = check_barrier_family([bad], prof, 3.0, 1, k_max=1,
                                    grid=make_cert_grid(prof, 32, 32))
         assert not rep.passed
@@ -193,6 +193,34 @@ class TestBarrierFamily:
         assert all(m["pass"] for m in rep.details["condition_i_members"])
         for entry in rep.details["condition_ii_decay"]:
             assert np.isnan(entry["below_envelope_margin"]) and not entry["pass"]
+
+    def test_nan_near_the_tip_report_is_strict_json(self, family_setup):
+        # RFC 8259 has no NaN token: the report quotes it, and stays failed
+        prof, _, _, ladder = family_setup
+
+        def nan_near_tip(fn):
+            return lambda r, t: np.where(np.asarray(t) > -1e-7, np.nan, fn(r, t))
+
+        broken = [replace(spec, fn=replace(spec.fn, fn=nan_near_tip(spec.fn.fn)))
+                  for spec in ladder]
+        rep = check_barrier_family(broken, prof, 3.0, 1, k_max=4,
+                                   grid=make_cert_grid(prof, 32, 32))
+
+        def no_constants(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        parsed = json.loads(canonical_json(rep.to_dict()), parse_constant=no_constants)
+        assert parsed["pass"] is False
+        for entry in parsed["details"]["condition_ii_decay"]:
+            assert entry["below_envelope_margin"] == "NaN" and entry["pass"] is False
+
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_rejected(self, family_setup, k_max):
+        # condition (iii) would be vacuous
+        prof, _, _, ladder = family_setup
+        with pytest.raises(DomainError, match="k_max"):
+            check_barrier_family(ladder, prof, 3.0, 1, k_max=k_max,
+                                 grid=make_cert_grid(prof, 8, 8))
 
     def test_level_without_far_samples_is_inconclusive(self):
         # at t0 = -0.1 every boundary sample lies within 0.34 of the tip, so
@@ -270,6 +298,10 @@ class TestSerialization:
         parsed = _json.loads(canonical_json(stamp(payload, with_timestamp=True)))
         assert "generated_at" in parsed
         assert parsed["report_hash"] == blob["report_hash"]  # timestamp excluded
+
+    def test_canonical_json_quotes_non_finite_floats(self):
+        blob = canonical_json({"a": float("nan"), "b": np.float64(np.inf), "c": -np.inf})
+        assert blob == '{"a": "NaN", "b": "Infinity", "c": "-Infinity"}'
 
     def test_canonical_json_numpy_values_match_python(self):
         as_numpy = {"i": np.int64(7), "b": np.bool_(True), "f": np.float32(0.1),
