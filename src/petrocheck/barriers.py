@@ -140,9 +140,7 @@ def singular_irregularity_barrier(p: float, q: float, n: int) -> SpaceTimeFuncti
         return where(tip, 1.0, r ** pp * (-tt) ** (-a) - c2 * (-tt) ** (1.0 - p * q))
 
     return SpaceTimeFunction.from_formula(
-        u, label=f"singular-irregularity(p={p}, q={q}, n={n})",
-        meta={"p": p, "q": q, "n": n, "tip_value": 1.0},
-    )
+        u, label=f"singular-irregularity(p={p}, q={q}, n={n})")
 
 
 def singular_traditional_barrier(p: float, q: float, n: int) -> SpaceTimeFunction:
@@ -166,9 +164,7 @@ def singular_traditional_barrier(p: float, q: float, n: int) -> SpaceTimeFunctio
         return where(rp < B / 2.0, minimum((-t) ** c * (B - rp), M), M)
 
     return SpaceTimeFunction.from_formula(
-        u, label=f"singular-traditional(p={p}, q={q}, n={n})",
-        meta={"p": p, "q": q, "n": n, "B": B, "M": M},
-    )
+        u, label=f"singular-traditional(p={p}, q={q}, n={n})")
 
 
 def small_data_bound_g(p: float, q: float, n: int) -> SpaceTimeFunction:
@@ -187,9 +183,7 @@ def small_data_bound_g(p: float, q: float, n: int) -> SpaceTimeFunction:
         return (B / 2.0) * minimum(-t, thr) ** c + 0.0 * r
 
     return SpaceTimeFunction.from_formula(
-        u, label=f"small-data-bound(p={p}, q={q}, n={n})",
-        meta={"p": p, "q": q, "n": n, "B": B, "clamp_threshold": thr},
-    )
+        u, label=f"small-data-bound(p={p}, q={q}, n={n})")
 
 
 def degenerate_irregularity_barrier(p: float, n: int, C: float) -> SpaceTimeFunction:
@@ -216,9 +210,7 @@ def degenerate_irregularity_barrier(p: float, n: int, C: float) -> SpaceTimeFunc
         return C * r ** alpha * (-t) ** (-b)
 
     return SpaceTimeFunction.from_formula(
-        u, label=f"degenerate-irregularity(p={p}, n={n}, C={C})",
-        meta={"p": p, "n": n, "C": C, "c_max": cm, "tip_value": C},
-    )
+        u, label=f"degenerate-irregularity(p={p}, n={n}, C={C})")
 
 
 def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> SpaceTimeFunction:
@@ -246,9 +238,7 @@ def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> Sp
         return where(tip, 0.0, A * r ** alpha * (-tt) ** (-b))
 
     return SpaceTimeFunction.from_formula(
-        u, label=f"degenerate-small-data(p={p}, q={q}, n={n}, beta={beta})",
-        meta={"p": p, "q": q, "n": n, "beta": beta, "A": A, "tip_value": 0.0},
-    )
+        u, label=f"degenerate-small-data(p={p}, q={q}, n={n}, beta={beta})")
 
 
 def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceTimeFunction:
@@ -265,7 +255,7 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
     On the axis w_C(0, t) = rho_C(t).  Time derivatives consume the gauge's
     closed-form delta_hat'; a gauge without derivative is rejected.  The
     construction is a supersolution once C passes find_family_threshold;
-    smaller C is allowed here but flagged in meta["below_threshold_unknown"].
+    smaller C is allowed here, with no such guarantee.
     """
     pars = _degenerate(p, n)
     if C <= 0:
@@ -285,10 +275,7 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
         return (Q ** m - C ** m) * f + rho
 
     return SpaceTimeFunction.from_formula(
-        w, label=f"degenerate-family(p={p}, n={n}, C={C})",
-        meta={"p": p, "n": n, "C": C, "lambda": lam, "kappa": kap,
-              "below_threshold_unknown": True},
-    )
+        w, label=f"degenerate-family(p={p}, n={n}, C={C})")
 
 
 def find_family_threshold(p: float, n: int, gauge: Gauge):
@@ -311,8 +298,8 @@ def find_family_threshold(p: float, n: int, gauge: Gauge):
     Returns (C0, details) with per-condition worst margins at C0.
     """
     pars = _degenerate(p, n)
-    if gauge.ddelta is None or gauge.t_samples is None:
-        raise DomainError("gauge must carry samples and a derivative")
+    if gauge.ddelta is None:
+        raise DomainError("gauge must carry a closed-form derivative (use envelope_gauge)")
     lam, m, kap = pars.lam, pars.m, pars.kap
     ts = gauge.t_samples
     d = np.asarray(gauge.delta(ts), dtype=float)
@@ -368,20 +355,21 @@ class BarrierSpec:
 
 
 def make_barrier(kind: str, p: float, n: int, q: Optional[float] = None,
-                 K: Optional[float] = None, t0: float = -1.0,
+                 K: float = 1.0, t0: float = -1.0,
                  C: Optional[float] = None, beta: Optional[float] = None,
                  gauge: Optional[Gauge] = None) -> BarrierSpec:
     """Factory building a BarrierSpec for any of the five kinds.
 
     The reference cusp is the power profile K(-t)^q from t0, with q = 1/p for
-    degenerate_irregularity; K is 1 unless given to singular_irregularity or
-    degenerate_family_member.
+    degenerate_irregularity.  Only singular_irregularity and
+    degenerate_family_member take a K other than 1; the other three kinds are
+    constructed on the K = 1 cusp and reject any other.
     """
     if kind not in BARRIER_KINDS:
         raise DomainError(f"unknown barrier kind {kind!r}; valid: {BARRIER_KINDS}")
+    if K != 1.0 and kind not in ("singular_irregularity", "degenerate_family_member"):
+        raise DomainError(f"{kind} is constructed on the K = 1 cusp, got K={K}")
     params = Params(p=p, n=n)
-    if K is None or kind not in ("singular_irregularity", "degenerate_family_member"):
-        K = 1.0
     profile = make_profile("power", K=K, t0=t0,
                            q=1.0 / p if kind == "degenerate_irregularity" else q)
     if kind == "singular_irregularity":

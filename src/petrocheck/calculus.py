@@ -24,7 +24,7 @@ Everything here is pure and reentrant; functions accept numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -279,20 +279,17 @@ class SpaceTimeFunction:
     drr: Optional[Callable] = None
     label: str = ""
     in_domain: Optional[Callable] = None
-    meta: dict = field(default_factory=dict)
     formula: Optional[Callable] = None
 
     @classmethod
     def from_formula(cls, formula: Callable, label: str = "",
-                     in_domain: Optional[Callable] = None,
-                     meta: Optional[dict] = None) -> "SpaceTimeFunction":
+                     in_domain: Optional[Callable] = None) -> "SpaceTimeFunction":
         """The field u = formula(r, t): values from arrays, derivatives from jets."""
         return cls(fn=partial(_evaluate, formula),
                    dt=partial(_jet_component, formula, 0),
                    dr=partial(_jet_component, formula, 1),
                    drr=partial(_jet_component, formula, 2),
-                   label=label, in_domain=in_domain, meta=meta or {},
-                   formula=formula)
+                   label=label, in_domain=in_domain, formula=formula)
 
     def __call__(self, r, t):
         return self.fn(r, t)
@@ -410,11 +407,8 @@ def barenblatt_function(p: float, n: int, C: float) -> SpaceTimeFunction:
         return where(inside, t ** (-n / lam) * where(inside, base, 1.0) ** m, 0.0)
 
     return SpaceTimeFunction.from_formula(
-        u,
-        label=f"barenblatt(p={p}, n={n}, C={C})",
-        in_domain=lambda r, t: np.asarray(t) > 0,
-        meta={"p": p, "n": n, "C": C, "lambda": lam},
-    )
+        u, label=f"barenblatt(p={p}, n={n}, C={C})",
+        in_domain=lambda r, t: np.asarray(t) > 0)
 
 
 def residual(

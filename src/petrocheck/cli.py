@@ -27,7 +27,7 @@ SCHEMA = "petrocheck/1"
 EXIT_PASS, EXIT_USAGE, EXIT_CERT_FAIL, EXIT_SOLVER_FAIL = 0, 1, 2, 3
 
 
-def _emit(payload: dict, out_path=None) -> None:
+def _emit(payload: dict, out_path) -> None:
     text = ver.canonical_json(ver.stamp(dict(payload, schema=SCHEMA), with_timestamp=True))
     if out_path:
         with open(out_path, "w") as fh:
@@ -166,8 +166,6 @@ def cmd_classify(args) -> int:
                "config": {"p": args.p, "q": args.q, "n": args.n, "K": args.K,
                           "with_probe": args.with_probe},
                "verdict": verdict.to_dict()}
-    if "probe_warning" in verdict.meta:
-        payload["warning"] = verdict.meta["probe_warning"]
     _emit(payload, args.out)
     return EXIT_PASS
 
@@ -190,7 +188,7 @@ def cmd_solve(args) -> int:
     field = sol.solve_dirichlet(profile, args.p, args.n, f, _solver_config(args))
     if args.out:
         field.to_csv(args.out)
-    ok, margins = field.check_max_principle()
+    ok = field.check_max_principle()
     print(f"solve: {field.meta['stats']['steps']} steps, u(0, {field.t_nodes[-1]:.6g}) = "
           f"{field.values[-1, 0]:.10g}, max principle {'OK' if ok else 'VIOLATED'}")
     return EXIT_PASS if ok else EXIT_SOLVER_FAIL
@@ -216,7 +214,7 @@ def cmd_sweep(args) -> int:
                                        with_probe=args.with_probe)
                 cells.append({"p": p, "q": q, "verdict": verdict.theorem_verdict,
                               "trend": verdict.numeric_trend})
-            except (DomainError, SolverError) as err:
+            except DomainError as err:
                 failures += 1
                 cells.append({"p": p, "q": q, "error": str(err)})
     payload = {"command": "sweep",
@@ -242,6 +240,7 @@ def cmd_scale_check(args) -> int:
                "config": {"p": args.p, "n": args.n, "a": args.a, "q": args.q,
                           "K": args.K, "t0": args.t0, "grid_y": args.grid_y,
                           "grid_t": args.grid_t, "eps_min": args.eps_min,
+                          "eps_reg": args.eps_reg, "c_step": args.c_step,
                           "tol": args.tol},
                "certificate": rep.to_dict()}
     _emit(payload, args.out)

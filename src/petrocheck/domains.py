@@ -52,8 +52,6 @@ __all__ = [
     "geometric_times",
 ]
 
-_STRICT_MARGIN = 1e-9  # relative margin enforcing strict "<" constraints
-
 
 def _power_law(amp: float, expo: float):
     """f(t) = amp (-t)^expo and its derivative f'."""
@@ -84,7 +82,6 @@ class DomainProfile:
     dzeta: Optional[Callable] = None
     K: Optional[float] = None
     q: Optional[float] = None
-    meta: dict = field(default_factory=dict)
 
     def contains(self, r, t):
         """Membership test (r, t) in Theta; t = 0 and t = t0 are outside."""
@@ -105,7 +102,7 @@ def make_profile(kind: str, K: float, q: Optional[float] = None, t0: float = -1.
     """
     if not all(math.isfinite(x) for x in (K, q, t0) if x is not None):
         raise DomainError(f"K, q and t0 must be finite, got K={K}, q={q}, t0={t0}")
-    if K <= 0:
+    if K is None or K <= 0:
         raise DomainError(f"K must be positive, got {K}")
     if t0 >= 0:
         raise DomainError(f"t0 must be negative, got {t0}")
@@ -167,10 +164,7 @@ def profile_from_samples(t: np.ndarray, z: np.ndarray) -> DomainProfile:
         val = dinterp(np.clip(tt, t[0], t[-1]))
         return val if val.ndim else float(val)
 
-    return DomainProfile(
-        kind="tabulated", t0=t0, zeta=zeta, dzeta=dzeta,
-        meta={"t_samples": t, "z_samples": z},
-    )
+    return DomainProfile(kind="tabulated", t0=t0, zeta=zeta, dzeta=dzeta)
 
 
 def profile_from_csv(path) -> DomainProfile:
@@ -203,9 +197,9 @@ class Gauge:
     beta: float
     gamma: Optional[float]
     t0: float
-    ddelta: Optional[Callable] = None
-    monotone_flag: bool = False
-    t_samples: Optional[np.ndarray] = None
+    ddelta: Optional[Callable]
+    monotone_flag: bool
+    t_samples: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @cached_property
@@ -311,11 +305,9 @@ def monotone_smooth_envelope(t_samples, delta_tilde, beta: float) -> Gauge:
 
     s = np.log(-t_samples)  # decreasing as t increases toward 0
     g = np.log(w)           # nondecreasing in t, i.e. nonincreasing in s
-    # interpolate on increasing abscissae; clamp the offset within (0, log 2)
-    shift = min(max(math.log(1.5), _STRICT_MARGIN), math.log(2.0) - _STRICT_MARGIN)
-    order = np.argsort(s)
-    s_inc = s[order]
-    g_inc = g[order] + shift
+    shift = math.log(1.5)
+    s_inc = s[::-1]         # interpolate on increasing abscissae
+    g_inc = g[::-1] + shift
     if np.any(np.diff(s_inc) <= 0):
         raise DomainError("duplicate sample times")
     ghat = PchipInterpolator(s_inc, g_inc, extrapolate=False)
@@ -397,14 +389,6 @@ def scale_domain(profile: DomainProfile, a: float, p: float):
     if profile.kind in ("power", "petrovskii_loglog"):
         return make_profile(profile.kind, K=a * profile.K, q=profile.q, t0=profile.t0), factor
     zeta, dzeta = profile.zeta, profile.dzeta
-    meta = dict(profile.meta, scaled_by=a)
-    if "z_samples" in meta:
-        meta["z_samples"] = a * meta["z_samples"]
-    scaled = DomainProfile(
-        kind=profile.kind,
-        t0=profile.t0,
-        zeta=lambda t: a * zeta(t),
-        dzeta=(lambda t: a * dzeta(t)) if dzeta is not None else None,
-        meta=meta,
-    )
+    scaled = DomainProfile(kind=profile.kind, t0=profile.t0, zeta=lambda t: a * zeta(t),
+                           dzeta=(lambda t: a * dzeta(t)) if dzeta is not None else None)
     return scaled, factor

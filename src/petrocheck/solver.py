@@ -20,11 +20,11 @@ shrinking widths, so the upwind side is y - h), a zero-flux symmetry cell at
 y = 0 and a Dirichlet node at y = 1.  Implicit Euler in time with a Newton
 solve of the monotone nonlinear system per step (tridiagonal analytic
 Jacobian, nonmonotone step acceptance that backtracks only on blow-up;
-Picard fallback with frozen flux coefficients when Newton stalls or every
-backtracking trial fails).  The one-sided advection and
-the strictly increasing regularized flux make each step an M-matrix problem,
-so the scheme obeys a discrete comparison principle up to the nonlinear
-solve tolerance.  The stepper is the one statement of the transformed
+Picard fallback with frozen flux coefficients when Newton has not converged
+after _NEWTON_MAX iterations or every backtracking trial fails).  The
+one-sided advection and the strictly increasing regularized flux make each
+step an M-matrix problem, so the scheme obeys a discrete comparison
+principle up to the nonlinear solve tolerance.  The stepper is the one statement of the transformed
 equation; the tests check it against the exact source solution B(r, t + 2).
 
 Cost per step: the coefficients that depend only on the time level (zeta,
@@ -45,16 +45,18 @@ iterations) and the worst accepted scaled residual in GridField.meta["stats"].
 Time grid: geometric (log-uniform) from t0 down to -eps_min, then each
 interval is subdivided until dt <= c_step * zeta(t)^p, because the
 transformed diffusion coefficient grows like zeta^(-p) as the cusp closes.
-No data is ever imposed at t = 0; marching stops at -eps_min.
+No data is ever imposed at t = 0; marching stops at -eps_min.  SolverConfig
+checks its grid and step settings when it is built.
 
 probe_origin drives the tip-attainment experiment: with boundary data that
 isolate the tip value, the axis trace u(0, t -> 0-) either collapses to the
 tip datum (regular behavior) or stalls at a gap (irregular behavior); the
 boundary datum is default_probe, and the trend thresholds are the declared
-constants PROBE_THRESHOLDS, reported verbatim.  classify returns the exact
-regularity table for power cusps: p > 2 regular iff q > 1/p, p = 2 regular
-iff q >= 1/2, and for p < 2 regular if q > 1/p, irregular if q < 1/p, with
-the borderline q = 1/p left Unknown.
+constants PROBE_THRESHOLDS, reported verbatim; a rung whose solve fails
+makes the trend inconclusive and its error is reported.  classify returns
+the exact regularity table for power cusps: p > 2 regular iff q > 1/p,
+p = 2 regular iff q >= 1/2, and for p < 2 regular if q > 1/p, irregular if
+q < 1/p, with the borderline q = 1/p left Unknown.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ __all__ = [
 
 _BORDERLINE_RTOL = 1e-12  # |q - 1/p| below this counts as the borderline case
 RESIDUAL_TOL = 1e-11      # a step is solved when its scaled residual is <= this
+_NEWTON_MAX = 60          # Newton iterations before a step falls back to Picard
 _PICARD_MAX = 200         # Picard iterations before a step counts as stalled
 _MAX_STEPS = 2_000_000    # longest time grid time_grid builds
 _MAX_PRINCIPLE_TOL = 1e-9  # slack of GridField.check_max_principle
@@ -98,14 +101,23 @@ PROBE_THRESHOLDS = {"attains_endpoint": 0.1, "attains_ratio": 0.8,
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid and nonlinear-solve settings."""
+    """Grid, regularization and step-cap settings, checked on construction:
+    n_y >= 3, n_t >= 1, and eps_reg, c_step and a given eps_min positive and
+    finite; anything else raises DomainError."""
 
     n_y: int = 129
     n_t: int = 400
     eps_min: Optional[float] = None   # default 1e-4 * |t0|
     eps_reg: float = 1e-8
     c_step: float = 0.5
-    newton_max: int = 60
+
+    def __post_init__(self):
+        if self.n_y < 3 or self.n_t < 1:
+            raise DomainError(f"need n_y >= 3 and n_t >= 1, got n_y={self.n_y}, n_t={self.n_t}")
+        for name in ("eps_min", "eps_reg", "c_step"):
+            value = getattr(self, name)
+            if not (name == "eps_min" and value is None or 0 < value < math.inf):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
 
     def resolved_eps_min(self, t0: float) -> float:
         return self.eps_min if self.eps_min is not None else 1e-4 * abs(t0)
@@ -129,11 +141,11 @@ class GridField:
                 for i, y in enumerate(self.y_nodes):
                     fh.write(f"{t:.17g},{y:.17g},{y * z:.17g},{self.values[k, i]:.17g}\n")
 
-    def check_max_principle(self):
+    def check_max_principle(self) -> bool:
+        """Whether every value lies within the range of the data."""
         lo, hi = self.meta["data_min"], self.meta["data_max"]
-        vmin, vmax = float(self.values.min()), float(self.values.max())
-        ok = vmin >= lo - _MAX_PRINCIPLE_TOL and vmax <= hi + _MAX_PRINCIPLE_TOL
-        return ok, (vmin - lo, hi - vmax)
+        return (float(self.values.min()) >= lo - _MAX_PRINCIPLE_TOL
+                and float(self.values.max()) <= hi + _MAX_PRINCIPLE_TOL)
 
 
 @dataclass(frozen=True)
@@ -163,13 +175,13 @@ def time_grid(profile: DomainProfile, p: float, cfg: SolverConfig) -> np.ndarray
     """
     t0 = profile.t0
     eps = cfg.resolved_eps_min(t0)
-    if not (0 < eps < abs(t0)):
+    if eps >= abs(t0):
         raise DomainError(f"eps_min must lie in (0, |t0|), got {eps}")
     base = -np.logspace(math.log10(abs(t0)), math.log10(eps), cfg.n_t + 1)
     out = [base[0]]
     for a, b in zip(base[:-1], base[1:]):
         cap = cfg.c_step * float(profile.zeta(b)) ** p
-        m = max(1, int(math.ceil((b - a) / cap))) if cap > 0 else 1
+        m = math.ceil((b - a) / cap) if cap > 0 else _MAX_STEPS
         if len(out) + m > _MAX_STEPS:
             raise SolverError(
                 f"time grid exceeds max_steps={_MAX_STEPS}; "
@@ -335,9 +347,9 @@ class _Stepper:
     def _newton(self, v, vold, c, bc, step_index, t_new):
         """Newton iterates with one assembly each: an accepted line-search
         trial's residual and flux derivative are the next iterate's."""
-        cfg, stats = self.cfg, self.stats
+        stats = self.stats
         G, dphi, gnorm = self.assemble(v, vold, c, bc)
-        for _ in range(cfg.newton_max):
+        for _ in range(_NEWTON_MAX):
             if gnorm <= RESIDUAL_TOL:
                 break
             if not math.isfinite(gnorm):
@@ -386,7 +398,7 @@ def solve_dirichlet(
     p: float,
     n: int,
     f: Callable,
-    cfg: Optional[SolverConfig] = None,
+    cfg: SolverConfig,
     t_nodes: Optional[np.ndarray] = None,
     initial_values: Optional[np.ndarray] = None,
 ) -> GridField:
@@ -397,10 +409,7 @@ def solve_dirichlet(
     at each time level.  Returns the full space-time field up to -eps_min.
     t_nodes may override the time grid (used by restriction experiments).
     """
-    cfg = cfg or SolverConfig()
     Params(p=p, n=n)            # rejects bad p and n before any step
-    if cfg.n_y < 3:
-        raise DomainError("need at least 3 y-nodes")
     if profile.dzeta is None:
         raise DomainError(
             "profile has no usable width derivative (tabulated profiles need "
@@ -478,7 +487,7 @@ def probe_origin(
             {"eps_min": 1e-3 * abs(profile.t0), "n_y": 97, "n_t": 400},
             {"eps_min": 1e-4 * abs(profile.t0), "n_y": 129, "n_t": 800},
         ]
-    endpoints, traces, rungs = [], [], []
+    endpoints, rungs, trace = [], [], None
     for rung in ladder:
         cfg = SolverConfig(**rung)
         try:
@@ -486,10 +495,10 @@ def probe_origin(
         except SolverError as err:
             return {"trend": "inconclusive", "endpoints": endpoints,
                     "error": str(err), "thresholds": dict(th),
-                    "rungs": rungs, "trace": traces[-1] if traces else None}
+                    "rungs": rungs, "trace": trace}
         endpoints.append(float(fld.values[-1, 0]))
         keep = np.unique(np.linspace(0, fld.t_nodes.size - 1, 64).astype(int))
-        traces.append([(float(fld.t_nodes[k]), float(fld.values[k, 0])) for k in keep])
+        trace = [(float(fld.t_nodes[k]), float(fld.values[k, 0])) for k in keep]
         rungs.append({"eps_min": cfg.resolved_eps_min(profile.t0),
                       "n_y": cfg.n_y, "n_t": cfg.n_t,
                       "n_steps": fld.meta["stats"]["steps"], "endpoint": endpoints[-1]})
@@ -505,7 +514,7 @@ def probe_origin(
             if e[-1] >= th["gap_floor"] and rel <= th["gap_rel_change"]:
                 trend = "gap"
     return {"trend": trend, "endpoints": endpoints, "rungs": rungs,
-            "thresholds": dict(th), "trace": traces[-1]}
+            "thresholds": dict(th), "trace": trace}
 
 
 def classify(
@@ -522,7 +531,8 @@ def classify(
     regularity); for p = 2 the verdict is stated for the power profile,
     where q >= 1/2 is regular.  The singular borderline q = 1/p (p < 2) is
     reported Unknown, never guessed.  Bad p or n (Params) and bad K or q
-    (make_profile) raise DomainError before any work.
+    (make_profile) raise DomainError before any work, and a malformed probe
+    ladder (SolverConfig) raises it before its rung runs.
     """
     Params(p=p, n=n)
     profile = make_profile("power", K=K, q=q, t0=-1.0)
@@ -544,24 +554,20 @@ def classify(
     meta = {"p": p, "q": q, "n": n, "K": K, "q_threshold": inv_p,
             "K_irrelevant": p != 2}
     if with_probe:
-        try:
-            probe = probe_origin(profile, p, n, ladder=ladder)
-            trace = probe["trace"]
-            trend = probe["trend"]
-            meta["probe"] = {"endpoints": probe["endpoints"],
-                             "thresholds": probe["thresholds"]}
-            if "error" in probe:
-                meta["probe"]["error"] = probe["error"]
-            if verdict == "Unknown":
-                # the borderline case is open; the probe may not decide it
-                trend = "inconclusive"
-                meta["probe"]["borderline_policy"] = (
-                    "q = 1/p with p < 2 is reported inconclusive by policy; "
-                    "the raw trend is kept in meta"
-                )
-                meta["probe"]["raw_trend"] = probe["trend"]
-        except (SolverError, DomainError) as err:
-            meta["probe_warning"] = str(err)
+        probe = probe_origin(profile, p, n, ladder=ladder)
+        trace, trend = probe["trace"], probe["trend"]
+        meta["probe"] = {"endpoints": probe["endpoints"],
+                         "thresholds": probe["thresholds"]}
+        if "error" in probe:
+            meta["probe"]["error"] = probe["error"]
+        if verdict == "Unknown":
+            # the borderline case is open; the probe may not decide it
+            trend = "inconclusive"
+            meta["probe"]["borderline_policy"] = (
+                "q = 1/p with p < 2 is reported inconclusive by policy; "
+                "the raw trend is kept in meta"
+            )
+            meta["probe"]["raw_trend"] = probe["trend"]
     return RegularityVerdict(
         theorem_verdict=verdict, numeric_trace=trace, numeric_trend=trend,
         meta=meta,

@@ -202,7 +202,7 @@ def check_sign(
     )
 
 
-def _boundary_samples(profile: DomainProfile, n_each: int = 256):
+def _boundary_samples(profile: DomainProfile, n_each: int):
     """Parabolic boundary: bottom disk {t = t0} plus lateral {r = zeta(t)}."""
     t0 = profile.t0
     rb = np.linspace(0.0, float(profile.zeta(t0)), n_each)
@@ -336,7 +336,7 @@ def check_scaling_equivariance(
     profile: DomainProfile,
     p: float,
     a: float,
-    cfg=None,
+    cfg: SolverConfig,
     f: Optional[Callable] = None,
     n: int = 1,
     tol: float = 1e-3,
@@ -352,7 +352,6 @@ def check_scaling_equivariance(
     """
     if p == 2:
         raise DomainError("p = 2 has no scaling invariance")
-    cfg = cfg or SolverConfig(n_y=65, n_t=200, eps_min=1e-3 * abs(profile.t0))
     if f is None:
         f = lambda r, t: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) + 0.5 * np.asarray(t, dtype=float)
     scaled, factor = scale_domain(profile, a, p)
@@ -392,10 +391,9 @@ def check_comparison(
     n: int,
     f1: Callable,
     f2: Callable,
-    cfg=None,
+    cfg: SolverConfig,
 ) -> CertificateReport:
     """Discrete comparison: ordered boundary data give ordered solutions."""
-    cfg = cfg or SolverConfig(n_y=65, n_t=200, eps_min=1e-3 * abs(profile.t0))
     rb, tb = _boundary_samples(profile, n_each=128)
     gap = np.asarray(f2(rb, tb), dtype=float) - np.asarray(f1(rb, tb), dtype=float)
     if np.any(gap < -1e-14):

@@ -166,13 +166,13 @@ def test_criterion_5_irregularity_witness():
     prof_s = make_profile("power", K=1.0, q=0.25, t0=-1.0)
     bar_s = make_barrier("singular_irregularity", p=1.5, n=2, q=0.25)
     worst_s, end_s = _witness(prof_s, 1.5, 2, bar_s, cfg)
-    tip_s = bar_s.fn.meta["tip_value"]          # f(0,0) = 1
+    tip_s = bar_s.constants["tip_value"]       # f(0,0) = 1
 
     prof_d = make_profile("power", K=1.0, q=1.0 / 3.0, t0=-1.0)
     C = 0.5 * c_max(3.0, 2)
     bar_d = make_barrier("degenerate_irregularity", p=3.0, n=2, C=C)
     worst_d, end_d = _witness(prof_d, 3.0, 2, bar_d, cfg)
-    tip_d = bar_d.fn.meta["tip_value"]          # f(0,0) = C
+    tip_d = bar_d.constants["C"]               # f(0,0) = C
 
     elapsed = time.perf_counter() - t0
     ok = (worst_s <= 1e-6 and end_s <= 0.5 * tip_s

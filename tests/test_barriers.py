@@ -27,7 +27,7 @@ from petrocheck.calculus import (
     check_derivatives,
     residual,
 )
-from petrocheck.domains import envelope_gauge, make_profile
+from petrocheck.domains import Gauge, envelope_gauge, gauge_of, geometric_times, make_profile
 from petrocheck.errors import DomainError
 
 
@@ -64,6 +64,11 @@ class TestConstants:
             m_const(1.5, 0.9, 2)   # q > 1/p
         with pytest.raises(DomainError):
             c_max(1.5, 2)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_small_data_amplitude_needs_positive_beta(self, beta):
+        with pytest.raises(DomainError, match="beta > 0"):
+            small_data_amplitude(3.0, 2, beta)
 
 
 class TestSingularIrregularity:
@@ -180,6 +185,10 @@ class TestDegenerateSmallData:
             degenerate_small_data_barrier(3.0, 1.0 / 3.0, 2, 1.0)
         assert "discontinuous" in str(err.value)
 
+    def test_q_above_one_over_p_rejected(self):
+        with pytest.raises(DomainError, match="q <= 1/p"):
+            degenerate_small_data_barrier(3.0, 0.4, 2, 0.5)
+
     def test_supersolution(self):
         u = degenerate_small_data_barrier(3.0, 1.0 / 3.0, 2, 0.5)
         prof = make_profile("power", K=1.0, q=1.0 / 3.0, t0=-1.0)
@@ -279,10 +288,40 @@ class TestFamily:
         raw = gauge_of(prof, 3.0, 1)       # no envelope: no ddelta for power? has ddelta
         raw_no = raw.__class__(
             delta=raw.delta, beta=raw.beta, gamma=raw.gamma, t0=raw.t0,
-            ddelta=None, monotone_flag=True,
+            ddelta=None, monotone_flag=True, t_samples=raw.t_samples,
         )
         with pytest.raises(DomainError):
             degenerate_family_member(3.0, 1, raw_no, C0)
+
+    def test_threshold_needs_a_gauge_derivative(self, flagship):
+        raw = gauge_of(flagship[0], 3.0, 1)
+        no_derivative = Gauge(delta=raw.delta, beta=raw.beta, gamma=raw.gamma, t0=raw.t0,
+                              ddelta=None, monotone_flag=True, t_samples=raw.t_samples)
+        with pytest.raises(DomainError, match="derivative"):
+            find_family_threshold(3.0, 1, no_derivative)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_nonpositive_C_rejected(self, flagship, C):
+        with pytest.raises(DomainError, match="C > 0"):
+            degenerate_family_member(3.0, 1, flagship[1], C)
+
+    def test_non_monotone_gauge_rejected(self):
+        # q = 0.6 > 1/lam + beta (p-1)/p: the weighted raw gauge decreases
+        raw = gauge_of(make_profile("power", K=1.0, q=0.6, t0=-1.0), 3.0, 1)
+        assert raw.ddelta is not None and not raw.monotone_flag
+        with pytest.raises(DomainError, match="weighted-monotone"):
+            degenerate_family_member(3.0, 1, raw, 4.0)
+
+    def test_no_admissible_C(self):
+        # kap delta = 1e30 / (3 sqrt 4) exceeds every doubling C < 2^60, so
+        # the sandwich condition (a) never holds
+        ts = geometric_times(-1.0)
+        huge = Gauge(delta=lambda t: np.full_like(np.asarray(t, dtype=float), 1e30),
+                     beta=0.25, gamma=None, t0=-1.0,
+                     ddelta=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                     monotone_flag=True, t_samples=ts)
+        with pytest.raises(DomainError, match="no admissible C"):
+            find_family_threshold(3.0, 1, huge)
 
 
 class TestElementaryInequality:
@@ -355,6 +394,34 @@ class TestBarrierSpec:
         assert (prof.kind, prof.K, prof.q, prof.t0) == ("power", 2.0, 0.25, -0.5)
         assert spec.to_json_dict("h")["parameters"] == {
             "p": 1.5, "n": 2, "q": 0.25, "K": 2.0, "t0": -0.5}
+
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("singular_traditional", dict(p=1.5, q=0.25)),
+        ("degenerate_irregularity", dict(p=3.0, C=0.01)),
+        ("degenerate_small_data", dict(p=3.0, q=0.3, beta=0.5)),
+    ])
+    def test_unit_cusp_kinds_reject_other_K(self, kind, kwargs):
+        make_barrier(kind, n=1, K=1.0, **kwargs)
+        with pytest.raises(DomainError, match="K = 1 cusp, got K=3.0"):
+            make_barrier(kind, n=1, K=3.0, **kwargs)
+
+    def test_family_member_honours_K(self, flagship):
+        _, gauge, C0, _ = flagship
+        spec = make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, K=2.0,
+                            C=C0, gauge=gauge)
+        assert spec.reference_profile().K == 2.0
+
+    @pytest.mark.parametrize("kind, kwargs, with_gauge, needs", [
+        ("degenerate_irregularity", dict(), False, "needs C"),
+        ("degenerate_small_data", dict(q=0.3), False, "needs beta"),
+        ("degenerate_family_member", dict(q=0.5, C=4.0), False, "needs C and a gauge"),
+        ("degenerate_family_member", dict(q=0.5), True, "needs C and a gauge"),
+    ])
+    def test_missing_construction_input_rejected(self, flagship, kind, kwargs, with_gauge,
+                                                 needs):
+        gauge = flagship[1] if with_gauge else None
+        with pytest.raises(DomainError, match=needs):
+            make_barrier(kind, p=3.0, n=1, gauge=gauge, **kwargs)
 
     @pytest.mark.parametrize("kind", ["singular_irregularity", "degenerate_family_member"])
     def test_zero_K_rejected(self, flagship, kind):

@@ -106,6 +106,10 @@ class TestRadialPowerFormula:
         with pytest.raises(DomainError):
             p_laplacian_radial_power(1.0, 1.0, 3.0, 2, 0.0)  # exponent -1 at r=0
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            p_laplacian_radial_power(1.0, 2.0, 3.0, 2, [0.5, -0.1])
+
     @given(
         C=st.floats(0.2, 2.0),
         alpha=st.floats(0.6, 3.0),
@@ -165,6 +169,17 @@ class TestBarenblatt:
         with pytest.raises(DomainError):
             barenblatt_function(3.0, 2.5, 1.0)       # n is a dimension
 
+    @pytest.mark.parametrize("t, p, message", [
+        (1.0, 2.0, "p != 2"), (0.0, 3.0, "t > 0"), (-1.0, 3.0, "t > 0")])
+    def test_support_radius_guards(self, t, p, message):
+        with pytest.raises(DomainError, match=message):
+            barenblatt_support_radius(t, p, 2, 1.0)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_nonpositive_C_rejected(self, C):
+        with pytest.raises(DomainError, match="C must be positive"):
+            barenblatt_function(3.0, 2, C)
+
     def test_fd_residual_small(self):
         B = barenblatt_function(3.0, 2, 1.0)
         assert abs(residual(B, 3.0, 2, 0.1, 1.0, method="fd", h=1e-4)) <= 1e-5
@@ -205,6 +220,11 @@ class TestResidual:
         u = SpaceTimeFunction(fn=lambda r, t: np.asarray(r, dtype=float))
         with pytest.raises(DomainError):
             residual(u, 3.0, 2, 0.5, -0.5, method="closed")
+
+    def test_unknown_method_rejected(self):
+        u = SpaceTimeFunction(fn=lambda r, t: np.asarray(r, dtype=float))
+        with pytest.raises(ValueError, match="unknown method 'x'"):
+            residual(u, 3.0, 2, 0.5, -0.5, method="x")
 
 
 class TestJet:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from petrocheck import solver
 from petrocheck.cli import main
+from petrocheck.errors import SolverError
 
 
 def run(argv):
@@ -26,6 +28,15 @@ class TestLemmaCheck:
         assert "--samples: must be at least 1" in captured.err
         assert "PASS" not in captured.out
 
+    def test_non_integer_samples_usage_error(self, capsys):
+        assert run(["lemma-check", "--p", "3", "--samples", "abc"]) == 1
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_failure_names_the_worst_row(self, capsys):
+        assert run(["lemma-check", "--p", "3", "--samples", "5", "--tol", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out and "worst row: C=" in captured.err
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "lemma.csv"
         assert run(["lemma-check", "--p", "3", "--n", "2", "--samples", "10",
@@ -45,6 +56,10 @@ class TestLemmaCheck:
 class TestBarenblattCheck:
     def test_pass(self):
         assert run(["barenblatt-check", "--p", "3", "--n", "2", "--points", "30"]) == 0
+
+    def test_singular_pass(self, capsys):
+        assert run(["barenblatt-check", "--p", "1.9", "--n", "2", "--points", "30"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_bad_lambda_is_usage_error(self):
         assert run(["barenblatt-check", "--p", "1.2", "--n", "2"]) == 1
@@ -93,6 +108,22 @@ class TestVerify:
         assert run(["verify"] + argv) == 1
         captured = capsys.readouterr()
         assert "precondition violated" in captured.err and captured.out == ""
+
+    def test_family_member_passes(self, tmp_path):
+        out = tmp_path / "cert.json"
+        code = run(["verify", "--kind", "degenerate_family_member", "--p", "3", "--q", "0.5",
+                    "--n", "1", "--grid-y", "16", "--grid-t", "16", "--out", str(out)])
+        assert code == 0
+        blob = json.loads(out.read_text())
+        assert blob["certificate"]["pass"] is True
+        assert blob["C0"] == blob["certificate"]["details"]["ladder_C"][0]
+
+    def test_other_K_for_a_unit_cusp_kind_usage_error(self, capsys):
+        # the small-data barrier is constructed on the K = 1 cusp only
+        assert run(["verify", "--kind", "degenerate_small_data", "--p", "3", "--q", "0.3",
+                    "--beta", "0.5", "--K", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "K = 1 cusp" in captured.err and captured.out == ""
 
     def test_small_data_passes(self, tmp_path):
         out = tmp_path / "cert.json"
@@ -166,6 +197,18 @@ class TestSweep:
     def test_empty_q_list_usage_error(self):
         assert run(["sweep", "--p-list", "3", "--q-list", ""]) == 1
 
+    def test_non_numeric_list_usage_error(self, capsys):
+        assert run(["sweep", "--p-list", "a", "--q-list", "0.5"]) == 1
+        assert "comma-separated floats" in capsys.readouterr().err
+
+    def test_error_cell_is_kept(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--p-list", "0.9,3", "--q-list", "0.5", "--out", str(out)]) == 0
+        blob = json.loads(out.read_text())
+        assert blob["failures"] == 1
+        assert "p must exceed 1" in blob["cells"][0]["error"]
+        assert blob["cells"][1]["verdict"] == "Regular"
+
 
 class TestSolveAndScale:
     def test_solve_writes_csv(self, tmp_path):
@@ -175,6 +218,31 @@ class TestSolveAndScale:
                     "--eps-min", "1e-2", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("t,y,r,u")
+
+    def test_solve_probe_data(self, capsys):
+        assert run(["solve", "--p", "3", "--q", "0.5", "--data", "probe", "--grid-y", "17",
+                    "--grid-t", "20", "--eps-min", "1e-1"]) == 0
+        assert "max principle OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "3", "--grid-t", "-5"],
+        ["--p", "3", "--c-step", "0"],
+        ["--p", "3", "--c-step", "-1"],
+        ["--p", "3", "--eps-reg=-1e-8"],
+        ["--p", "1.5", "--eps-reg=0"],
+    ])
+    def test_solve_bad_solver_setting_usage_error(self, argv, capsys):
+        grid = ["--grid-y", "33", "--grid-t", "50", "--eps-min", "1e-2"]
+        assert run(["solve", "--q", "0.5"] + grid + argv) == 1
+        captured = capsys.readouterr()
+        assert "precondition violated" in captured.err and captured.out == ""
+
+    def test_solver_failure_exit_3(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise SolverError("nonlinear solve stalled at step 3", step=3, t=-0.5)
+        monkeypatch.setattr(solver, "solve_dirichlet", fail)
+        assert run(["solve", "--p", "3", "--q", "0.5"]) == 3
+        assert "solver failure: nonlinear solve stalled" in capsys.readouterr().err
 
     def test_solve_bad_data_usage_error(self):
         assert run(["solve", "--p", "3", "--q", "0.5", "--data", "wat"]) == 1
@@ -192,6 +260,14 @@ class TestSolveAndScale:
         assert code == 0
         blob = json.loads(out.read_text())
         assert blob["certificate"]["pass"] is True
+
+    def test_scale_check_records_regularization_and_step_cap(self, tmp_path):
+        out = tmp_path / "scale.json"
+        assert run(["scale-check", "--p", "3", "--grid-y", "33", "--grid-t", "80",
+                    "--eps-min", "1e-2", "--eps-reg", "1e-6", "--c-step", "0.25",
+                    "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["eps_reg"], config["c_step"]) == (1e-6, 0.25)
 
     def test_scale_check_p2_usage_error(self):
         assert run(["scale-check", "--p", "2", "--a", "2"]) == 1

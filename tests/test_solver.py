@@ -67,6 +67,12 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             time_grid(power_profile, 3.0, SolverConfig(eps_min=2.0))
 
+    def test_max_steps_guard(self, power_profile):
+        # the first interval alone needs more steps than the guard allows,
+        # so it raises before it builds the grid
+        with pytest.raises(SolverError, match="max_steps"):
+            time_grid(power_profile, 3.0, SolverConfig(c_step=1e-12))
+
 
 class TestSolveDirichlet:
     @pytest.mark.parametrize("p, n", [(0.9, 1), (3.0, 0)])
@@ -81,6 +87,27 @@ class TestSolveDirichlet:
             solve_dirichlet(power_profile, p, n, f, SolverConfig(n_y=17, n_t=20))
         assert calls == []
 
+    @pytest.mark.parametrize("setting", [
+        dict(n_y=2), dict(n_t=0), dict(n_t=-5), dict(eps_reg=0.0), dict(eps_reg=-1e-8),
+        dict(eps_reg=np.nan), dict(c_step=0.0), dict(c_step=-1.0), dict(c_step=np.inf),
+        dict(eps_min=0.0), dict(eps_min=-1e-3), dict(eps_min=np.nan),
+    ])
+    def test_config_rejects_bad_settings(self, setting):
+        with pytest.raises(DomainError, match=next(iter(setting))):
+            SolverConfig(**setting)
+
+    @pytest.mark.parametrize("t_nodes", [
+        [-1.0], [-0.5, -1.0], [-1.0, -0.5, 0.0], [[-1.0, -0.5]]])
+    def test_bad_t_nodes_rejected(self, power_profile, t_nodes):
+        with pytest.raises(DomainError, match="t_nodes"):
+            solve_dirichlet(power_profile, 3.0, 1, default_probe, SolverConfig(n_y=9),
+                            t_nodes=np.array(t_nodes))
+
+    def test_initial_values_shape_mismatch_rejected(self, power_profile):
+        with pytest.raises(DomainError, match="initial_values"):
+            solve_dirichlet(power_profile, 3.0, 1, default_probe, SolverConfig(n_y=9),
+                            t_nodes=np.array([-1.0, -0.5]), initial_values=np.zeros(8))
+
     def test_constants_are_exact(self, power_profile):
         cfg = SolverConfig(n_y=33, n_t=50, eps_min=1e-2)
         f = lambda r, t: 0.7 + 0.0 * np.asarray(r, dtype=float)
@@ -90,7 +117,7 @@ class TestSolveDirichlet:
     def test_max_principle(self, power_profile):
         cfg = SolverConfig(n_y=49, n_t=80, eps_min=1e-2)
         fld = solve_dirichlet(power_profile, 3.0, 1, default_probe, cfg)
-        ok, _ = fld.check_max_principle()
+        ok = fld.check_max_principle()
         assert ok
         assert fld.y_nodes[0] == 0.0 and fld.y_nodes[-1] == 1.0
 
@@ -157,7 +184,7 @@ class TestSolveDirichlet:
         prof = profile_from_samples(t, (-t) ** 0.5)
         cfg = SolverConfig(n_y=33, n_t=60, eps_min=5e-3)
         fld = solve_dirichlet(prof, 3.0, 1, default_probe, cfg)
-        ok, _ = fld.check_max_principle()
+        ok = fld.check_max_principle()
         assert ok
 
     def test_loglog_profile_solves(self):
@@ -166,7 +193,7 @@ class TestSolveDirichlet:
         prof = make_profile("petrovskii_loglog", K=1.0, t0=-0.3)
         cfg = SolverConfig(n_y=33, n_t=80, eps_min=3e-4)
         fld = solve_dirichlet(prof, 2.5, 2, default_probe, cfg)
-        ok, _ = fld.check_max_principle()
+        ok = fld.check_max_principle()
         assert ok
 
     def test_csv_export(self, power_profile, tmp_path):
@@ -200,11 +227,11 @@ class TestSolverStats:
         assert 0.0 < stats["worst_residual"] <= solver_mod.RESIDUAL_TOL
         assert_one_assembly_per_iterate(stats)
 
-    def test_picard_fallback_matches_newton(self, power_profile):
-        grid = dict(n_y=33, n_t=40, eps_min=0.3)
-        newton = solve_dirichlet(power_profile, 2.2, 1, smooth_data, SolverConfig(**grid))
-        picard = solve_dirichlet(power_profile, 2.2, 1, smooth_data,
-                                 SolverConfig(newton_max=0, **grid))
+    def test_picard_fallback_matches_newton(self, power_profile, monkeypatch):
+        cfg = SolverConfig(n_y=33, n_t=40, eps_min=0.3)
+        newton = solve_dirichlet(power_profile, 2.2, 1, smooth_data, cfg)
+        monkeypatch.setattr(solver_mod, "_NEWTON_MAX", 0)
+        picard = solve_dirichlet(power_profile, 2.2, 1, smooth_data, cfg)
         stats = picard.meta["stats"]
         assert stats["newton_iterations"] == 0
         assert stats["picard_iterations"] > stats["steps"]
@@ -223,7 +250,7 @@ class TestSolverStats:
         assert stats["picard_iterations"] > 0
         assert stats["worst_residual"] <= 1e-11
         assert_one_assembly_per_iterate(stats)
-        assert fld.check_max_principle()[0]
+        assert fld.check_max_principle()
         assert fld.values[-1, 0] == pytest.approx(0.9989118710573514, rel=0, abs=1e-12)
 
     def test_failed_line_search_hands_the_step_to_picard(self, power_profile):
@@ -252,6 +279,15 @@ class TestSolverStats:
         plain = _Stepper(power_profile, 2.2, 1, cfg).step(vold, -0.49, 0.01, bc, 1)
         assert np.max(np.abs(v - plain)) < 1e-10
 
+    def test_picard_stall_raises_solver_error(self, power_profile, monkeypatch):
+        # Picard alone does not converge at step 1 of this grid within its
+        # iteration budget
+        monkeypatch.setattr(solver_mod, "_NEWTON_MAX", 0)
+        cfg = SolverConfig(n_y=65, n_t=200, eps_min=1e-3)
+        with pytest.raises(SolverError, match="stalled") as err:
+            solve_dirichlet(power_profile, 3.0, 1, smooth_data, cfg)
+        assert err.value.step == 1 and err.value.residual > solver_mod.RESIDUAL_TOL
+
 
 class TestNonFinite:
     def test_nan_data_at_one_level_raises_solver_error(self, power_profile):
@@ -274,6 +310,15 @@ class TestNonFinite:
         with pytest.raises(SolverError, match="singular") as err:
             st.solve(c, d, np.ones(9), 7, -0.5)
         assert err.value.step == 7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_raises_solver_error(self, power_profile, bad):
+        st = _Stepper(power_profile, 3.0, 1, SolverConfig(n_y=9))
+        d = np.ones(8)
+        d[3] = bad
+        with pytest.raises(SolverError, match="non-finite Jacobian") as err:
+            st.solve(st.coefficients(-0.5, 0.01), d, np.ones(9), 4, -0.5)
+        assert err.value.step == 4
 
 
 class TestProbe:
@@ -328,6 +373,12 @@ class TestClassify:
         assert v.numeric_trend == "inconclusive"
         assert v.meta["probe"]["error"] == "nonlinear solve stalled at step 3"
         assert v.to_dict()["meta"]["probe"]["error"] == "nonlinear solve stalled at step 3"
+
+    @pytest.mark.parametrize("rung", [{"eps_min": 1e-1, "n_y": 2, "n_t": 30},
+                                      {"eps_min": 2.0, "n_y": 17, "n_t": 30}])
+    def test_malformed_ladder_raises_domain_error(self, rung):
+        with pytest.raises(DomainError):
+            classify(3.0, 0.6, with_probe=True, ladder=[rung])
 
     def test_verdict_dict(self):
         v = classify(3.0, 0.34)

@@ -10,6 +10,7 @@ from petrocheck.domains import envelope_gauge, make_profile
 from petrocheck.errors import DomainError
 from petrocheck.solver import SolverConfig
 from petrocheck.verify import (
+    CertGrid,
     _boundary_samples,
     canonical_json,
     check_barrier_family,
@@ -71,6 +72,27 @@ class TestCheckSign:
         empty = CertGrid(t_levels=np.array([]), y_levels=np.array([]))
         with pytest.raises(DomainError):
             check_sign(spec.fn, prof, 1.5, 2, grid=empty)
+
+    def test_default_grid(self, singular_case):
+        spec, prof = singular_case
+        rep = check_sign(spec.fn, prof, 1.5, 2)
+        assert rep.passed
+        assert (rep.grid["n_t"], rep.grid["n_y"], rep.grid["points"]) == (128, 128, 128 * 128)
+
+    def test_points_outside_the_cusp_are_skipped(self, singular_case):
+        spec, prof = singular_case
+        grid = make_cert_grid(prof, 16, 16)
+        wide = CertGrid(t_levels=grid.t_levels, y_levels=np.append(grid.y_levels, [1.5, 2.0]))
+        rep = check_sign(spec.fn, prof, 1.5, 2, grid=wide)
+        assert rep.passed and rep.grid["points"] == 16 * 16
+        assert rep.details == {}
+        assert rep.worst_violation == check_sign(spec.fn, prof, 1.5, 2, grid=grid).worst_violation
+
+    def test_grid_wholly_outside_the_cusp_rejected(self, singular_case):
+        spec, prof = singular_case
+        outside = CertGrid(t_levels=np.array([-0.5, -0.1]), y_levels=np.array([1.5, 2.0]))
+        with pytest.raises(DomainError, match="no valid grid points"):
+            check_sign(spec.fn, prof, 1.5, 2, grid=outside)
 
     def test_non_finite_residual_inside_domain_fails(self, singular_case):
         spec, prof = singular_case
@@ -214,6 +236,22 @@ class TestBarrierFamily:
         for entry in parsed["details"]["condition_ii_decay"]:
             assert entry["below_envelope_margin"] == "NaN" and entry["pass"] is False
 
+    def test_default_grid(self, family_setup):
+        prof, _, _, ladder = family_setup
+        rep = check_barrier_family(ladder[:2], prof, 3.0, 1, k_max=1)
+        assert (rep.grid["n_t"], rep.grid["n_y"]) == (128, 128)
+        assert len(rep.details["condition_i_members"]) == 2
+
+    @pytest.mark.parametrize("pick, message", [
+        (lambda ladder: [], "empty family"),
+        (lambda ladder: [ladder[1], ladder[0]], "strictly increasing C"),
+        (lambda ladder: [ladder[0], ladder[0]], "strictly increasing C"),
+    ])
+    def test_malformed_ladder_rejected(self, family_setup, pick, message):
+        prof, _, _, ladder = family_setup
+        with pytest.raises(DomainError, match=message):
+            check_barrier_family(pick(ladder), prof, 3.0, 1, grid=make_cert_grid(prof, 8, 8))
+
     @pytest.mark.parametrize("k_max", [0, -3])
     def test_k_max_below_one_rejected(self, family_setup, k_max):
         # condition (iii) would be vacuous
@@ -284,7 +322,8 @@ class TestSolverChecks:
     def test_p2_rejected(self):
         prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
         with pytest.raises(DomainError):
-            check_scaling_equivariance(prof, 2.0, 2.0)
+            check_scaling_equivariance(prof, 2.0, 2.0,
+                                       cfg=SolverConfig(n_y=17, n_t=20, eps_min=0.1))
 
 
 class TestSerialization:
