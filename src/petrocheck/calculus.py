@@ -447,9 +447,10 @@ def residual(
     if method == "fd":
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
+        # the oracle checks the step before anything divides by it
+        lap = p_laplacian_radial_fd(u, p, n, r, t, h=np.minimum(h, r / 4.0))
         ht = h * np.maximum(np.abs(t), 1.0)
         dtu = (u.fn(r, t + ht) - u.fn(r, t - ht)) / (2.0 * ht)
-        lap = p_laplacian_radial_fd(u, p, n, r, t, h=np.minimum(h, r / 4.0))
         return _unwrap(np.asarray(dtu - lap, dtype=float))
     raise ValueError(f"unknown method {method!r}")
 

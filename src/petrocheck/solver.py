@@ -45,8 +45,12 @@ iterations) and the worst accepted scaled residual in GridField.meta["stats"].
 Time grid: geometric (log-uniform) from t0 down to -eps_min, then each
 interval is subdivided until dt <= c_step * zeta(t)^p, because the
 transformed diffusion coefficient grows like zeta^(-p) as the cusp closes.
-No data is ever imposed at t = 0; marching stops at -eps_min.  SolverConfig
-checks its grid and step settings when it is built.
+The cap is an accuracy heuristic, not a stability need: each implicit step
+is an M-matrix problem at any dt.  The default probe ladder sets c_step to
+_UNCAPPED_C_STEP, so each of its rungs marches exactly its n_t log-uniform
+steps; for q*p > 1 the cap would grow the deepest rung like
+eps_min^(1 - q*p).  No data is ever imposed at t = 0; marching stops at
+-eps_min.  SolverConfig checks its grid and step settings when it is built.
 
 probe_origin drives the tip-attainment experiment: with boundary data that
 isolate the tip value, the axis trace u(0, t -> 0-) either collapses to the
@@ -93,6 +97,13 @@ _NEWTON_MAX = 60          # Newton iterations before a step falls back to Picard
 _PICARD_MAX = 200         # Picard iterations before a step counts as stalled
 _MAX_STEPS = 2_000_000    # longest time grid time_grid builds
 _MAX_PRINCIPLE_TOL = 1e-9  # slack of GridField.check_max_principle
+# c_step of the default probe ladder's rungs.  Each implicit step is an
+# M-matrix problem at any dt, so the scheme stays monotone without the
+# stiffness cap.  At this value c_step * zeta^p exceeds every interval of a
+# grid on [-1, 0) wherever zeta^p > 1e-150, so the cap never binds, and stays
+# finite wherever zeta^p < 1e158.  It is finite because SolverConfig
+# rejects inf.
+_UNCAPPED_C_STEP = 1e150
 
 # Declared trend thresholds of the tip probe, reported verbatim with its result
 PROBE_THRESHOLDS = {"attains_endpoint": 0.1, "attains_ratio": 0.8,
@@ -460,6 +471,14 @@ def default_probe(r, t):
     return out if out.ndim else float(out)
 
 
+def _default_ladder(t0: float) -> list:
+    """The rungs probe_origin runs when it is given no ladder, each without
+    the stiffness cap."""
+    return [{"eps_min": frac * abs(t0), "n_y": n_y, "n_t": n_t,
+             "c_step": _UNCAPPED_C_STEP}
+            for frac, n_y, n_t in ((1e-2, 65, 200), (1e-3, 97, 400), (1e-4, 129, 800))]
+
+
 def probe_origin(
     profile: DomainProfile,
     p: float,
@@ -469,7 +488,8 @@ def probe_origin(
     """Tip-attainment probe across a refinement ladder.
 
     Each rung solves down to its eps_min and records the axis endpoint
-    u(0, -eps_min) under the boundary datum default_probe.  Trend rules
+    u(0, -eps_min) under the boundary datum default_probe, and its grid and
+    step count in rungs; ladder defaults to _default_ladder(t0).  Trend rules
     (declared in PROBE_THRESHOLDS):
 
       attains: last endpoint < attains_endpoint and every successive
@@ -482,11 +502,7 @@ def probe_origin(
     """
     th = PROBE_THRESHOLDS
     if ladder is None:
-        ladder = [
-            {"eps_min": 1e-2 * abs(profile.t0), "n_y": 65, "n_t": 200},
-            {"eps_min": 1e-3 * abs(profile.t0), "n_y": 97, "n_t": 400},
-            {"eps_min": 1e-4 * abs(profile.t0), "n_y": 129, "n_t": 800},
-        ]
+        ladder = _default_ladder(profile.t0)
     endpoints, rungs, trace = [], [], None
     for rung in ladder:
         cfg = SolverConfig(**rung)
@@ -501,7 +517,7 @@ def probe_origin(
         trace = [(float(fld.t_nodes[k]), float(fld.values[k, 0])) for k in keep]
         rungs.append({"eps_min": cfg.resolved_eps_min(profile.t0),
                       "n_y": cfg.n_y, "n_t": cfg.n_t,
-                      "n_steps": fld.meta["stats"]["steps"], "endpoint": endpoints[-1]})
+                      "n_steps": fld.meta["stats"]["steps"]})
 
     trend = "inconclusive"
     if len(endpoints) >= 2:
@@ -556,7 +572,7 @@ def classify(
     if with_probe:
         probe = probe_origin(profile, p, n, ladder=ladder)
         trace, trend = probe["trace"], probe["trend"]
-        meta["probe"] = {"endpoints": probe["endpoints"],
+        meta["probe"] = {"endpoints": probe["endpoints"], "rungs": probe["rungs"],
                          "thresholds": probe["thresholds"]}
         if "error" in probe:
             meta["probe"]["error"] = probe["error"]

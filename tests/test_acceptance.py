@@ -185,15 +185,9 @@ def test_criterion_5_irregularity_witness():
 
 def test_criterion_6_dichotomy_trend():
     t0 = time.perf_counter()
-    ladder = [
-        {"eps_min": 1e-2, "n_y": 65, "n_t": 200},
-        {"eps_min": 1e-3, "n_y": 97, "n_t": 400},
-        {"eps_min": 1e-4, "n_y": 129, "n_t": 800},
-    ]
-    out_reg = probe_origin(make_profile("power", K=1.0, q=0.6, t0=-1.0),
-                           3.0, 1, ladder=ladder)
-    out_irr = probe_origin(make_profile("power", K=1.0, q=0.2, t0=-1.0),
-                           3.0, 1, ladder=ladder)
+    # the default ladder, the one `classify --with-probe` runs
+    out_reg = probe_origin(make_profile("power", K=1.0, q=0.6, t0=-1.0), 3.0, 1)
+    out_irr = probe_origin(make_profile("power", K=1.0, q=0.2, t0=-1.0), 3.0, 1)
     elapsed = time.perf_counter() - t0
     ok = out_reg["trend"] == "attains" and out_irr["trend"] == "gap" and elapsed < 600.0
     report(6, "tip-attainment dichotomy trend", ok,

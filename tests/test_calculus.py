@@ -184,6 +184,14 @@ class TestBarenblatt:
         B = barenblatt_function(3.0, 2, 1.0)
         assert abs(residual(B, 3.0, 2, 0.1, 1.0, method="fd", h=1e-4)) <= 1e-5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    def test_fd_residual_checks_its_step_before_dividing(self, h):
+        B = barenblatt_function(3.0, 2, 1.0)
+        with pytest.raises(DomainError, match="need 0 < h < r/2"):
+            residual(B, 3.0, 2, np.array([0.1, 0.2]), np.array([1.0, 1.5]),
+                     method="fd", h=h)
+
     def test_closed_residual_vanishes_inside(self):
         for p, n in [(3.0, 2), (4.0, 1), (1.9, 2)]:
             B = barenblatt_function(p, n, 1.0)

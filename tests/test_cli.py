@@ -74,6 +74,11 @@ class TestBarenblattCheck:
         assert run(["barenblatt-check", "--p", "3", "--C", "nan"]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_step_usage_error(self, capsys):
+        assert run(["barenblatt-check", "--p", "3", "--h", "0"]) == 1
+        assert "need 0 < h < r/2" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_singular_irregularity_passes(self, tmp_path):

@@ -8,6 +8,8 @@ from petrocheck import solver as solver_mod
 from petrocheck.solver import (
     SolverConfig,
     _Stepper,
+    _UNCAPPED_C_STEP,
+    _default_ladder,
     classify,
     default_probe,
     probe_origin,
@@ -27,9 +29,14 @@ class TestTransform:
 
     # p < 2 is left out until Newton accepts iterates at their roundoff
     # floor: there it stalls just above its residual tolerance (scaled
-    # |G| ~ 1.1e-11 at p = 1.5, n = 2, n_y = 33)
-    @pytest.mark.parametrize("p, n", [(3.0, 1), (3.0, 2), (2.5, 2)])
-    def test_source_solution_converges_at_first_order(self, power_profile, p, n):
+    # |G| ~ 1.1e-11 at p = 1.5, n = 2, n_y = 33).  Each cell runs with the
+    # SolverConfig stiffness cap and without it, as the probe ladder does.
+    @pytest.mark.parametrize("p, n, c_step", [
+        pytest.param(p, n, c_step, id=f"{p}-{n}{suffix}")
+        for c_step, suffix in ((SolverConfig.c_step, ""), (_UNCAPPED_C_STEP, "-uncapped"))
+        for p, n in [(3.0, 1), (3.0, 2), (2.5, 2)]
+    ])
+    def test_source_solution_converges_at_first_order(self, power_profile, p, n, c_step):
         # the time-shifted source solution B(r, t + 2) as data; the max error
         # over the whole field, relative to the largest value, halves with
         # each doubling of (n_y, n_t)
@@ -38,7 +45,8 @@ class TestTransform:
         errors = []
         for n_y, n_t in [(33, 50), (65, 100), (129, 200)]:
             fld = solve_dirichlet(power_profile, p, n, f,
-                                  SolverConfig(n_y=n_y, n_t=n_t, eps_min=1e-3))
+                                  SolverConfig(n_y=n_y, n_t=n_t, eps_min=1e-3, c_step=c_step))
+            assert fld.meta["stats"]["picard_iterations"] == 0
             r = fld.y_nodes[None, :] * power_profile.zeta(fld.t_nodes)[:, None]
             exact = f(r, fld.t_nodes[:, None])
             errors.append(np.max(np.abs(fld.values - exact)) / np.max(np.abs(exact)))
@@ -245,7 +253,7 @@ class TestSolverStats:
         # converges there
         prof = make_profile("power", K=1.0, q=0.3, t0=-1.0)
         fld = solve_dirichlet(prof, 1.5, 1, default_probe,
-                              SolverConfig(n_y=129, n_t=800, eps_min=1e-4))
+                              SolverConfig(**_default_ladder(prof.t0)[2]))
         stats = fld.meta["stats"]
         assert stats["picard_iterations"] > 0
         assert stats["worst_residual"] <= 1e-11
@@ -364,6 +372,16 @@ class TestClassify:
                         (3.0, np.nan, 1.0), (3.0, 0.5, np.inf)]:
             with pytest.raises(DomainError, match="finite"):
                 classify(p, q, K=K)
+
+    def test_stiff_cell_marches_n_t_steps_per_rung(self):
+        # q p = 2.4 > 1: under the stiffness cap the deepest rung needed
+        # 577,098 steps; the default ladder has none, so each rung takes n_t
+        out = classify(3.0, 0.8, 1, with_probe=True)
+        assert out.numeric_trend == "attains"
+        assert out.meta["probe"]["endpoints"] == pytest.approx(
+            [0.28331, 0.04203, 0.00646], abs=1e-5)
+        steps = [r["n_steps"] for r in out.meta["probe"]["rungs"]]
+        assert steps == [r["n_t"] for r in _default_ladder(-1.0)]
 
     def test_failed_rung_error_is_reported(self, monkeypatch):
         def fail(*args, **kwargs):
