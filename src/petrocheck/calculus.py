@@ -240,20 +240,31 @@ def _evaluate(formula, r, t):
 _JET_BLOCK = 1 << 16     # points per jet pass over a block of rows
 
 
+def _axes(x):
+    """x with each zero-stride (only broadcast) axis cut to length 1."""
+    return x[tuple(slice(None) if step else slice(0, 1) for step in x.strides)]
+
+
 def _jet_pass(formula, r, t):
     """(u_t, u_r, u_rr) of a formula at (r, t), each of the broadcast shape.
 
-    Large inputs go through the formula a block of rows at a time, which
-    bounds the memory held by the jet's intermediates; every operation is
-    elementwise, so the blocks give the same values as one pass.
+    An operand enters the formula without the axes it was only broadcast
+    along: on a certificate grid t stays the column (n_t, 1) against r of
+    shape (n_t, n_y), so every t-only factor, with its t-derivative, is
+    computed once per time level and only the r-dependent terms run on the
+    full block; broadcasting fills the rows of the result.  Large inputs go
+    through the formula a block of rows at a time, which bounds the memory
+    held by the jet's intermediates.  Every operation is elementwise, so
+    neither the blocks nor the kept axes change a value.
     """
     r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
     shape = r.shape
-    r, t = np.atleast_1d(r, t)
-    out = np.empty((3,) + r.shape)
-    rows = max(1, _JET_BLOCK // max(1, r[0].size))
-    for i in range(0, len(r), rows):
-        jet = _jet(formula(Jet(r[i:i + rows], 0.0, 1.0), Jet(t[i:i + rows], 1.0)))
+    r, t = (_axes(x) for x in np.atleast_1d(r, t))
+    out = np.empty((3,) + (shape or (1,)))
+    rows = max(1, _JET_BLOCK // max(1, math.prod(shape[1:])))
+    for i in range(0, out.shape[1], rows):
+        rb, tb = (x if len(x) == 1 else x[i:i + rows] for x in (r, t))
+        jet = _jet(formula(Jet(rb, 0.0, 1.0), Jet(tb, 1.0)))
         out[0, i:i + rows], out[1, i:i + rows], out[2, i:i + rows] = jet.t, jet.r, jet.rr
     return tuple(_unwrap(d.reshape(shape)) for d in out)
 

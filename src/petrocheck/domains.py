@@ -33,7 +33,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .calculus import Params
 from .errors import DomainError
@@ -150,6 +149,10 @@ def profile_from_samples(t: np.ndarray, z: np.ndarray) -> DomainProfile:
         raise DomainError("sample times must be strictly increasing and negative")
     if np.any(z <= 0):
         raise DomainError("widths must be positive")
+    # imported here, not at module level: scipy.interpolate costs about 0.4 s
+    # of every start, and only tabulated profiles and their envelopes use it
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(t, z, extrapolate=True)
     dinterp = interp.derivative()
     t0 = float(t[0])
@@ -310,6 +313,8 @@ def monotone_smooth_envelope(t_samples, delta_tilde, beta: float) -> Gauge:
     g_inc = g[::-1] + shift
     if np.any(np.diff(s_inc) <= 0):
         raise DomainError("duplicate sample times")
+    from scipy.interpolate import PchipInterpolator  # see profile_from_samples
+
     ghat = PchipInterpolator(s_inc, g_inc, extrapolate=False)
     dghat = ghat.derivative()
     s_lo, s_hi = float(s_inc[0]), float(s_inc[-1])

@@ -192,7 +192,8 @@ def time_grid(profile: DomainProfile, p: float, cfg: SolverConfig) -> np.ndarray
     out = [base[0]]
     for a, b in zip(base[:-1], base[1:]):
         cap = cfg.c_step * float(profile.zeta(b)) ** p
-        m = math.ceil((b - a) / cap) if cap > 0 else _MAX_STEPS
+        # cap may overflow to inf; an interval still takes at least one step
+        m = max(1, math.ceil((b - a) / cap)) if cap > 0 else _MAX_STEPS
         if len(out) + m > _MAX_STEPS:
             raise SolverError(
                 f"time grid exceeds max_steps={_MAX_STEPS}; "

@@ -96,9 +96,11 @@ class CertGrid:
     y_levels: np.ndarray
 
     def meshes(self, profile: DomainProfile):
-        T, Y = np.meshgrid(self.t_levels, self.y_levels, indexing="ij")
-        R = Y * profile.zeta(T)
-        return R, T
+        """(R, T): R = y * zeta(t) of shape (n_t, n_y), and T the column
+        (n_t, 1) of time levels, left unexpanded so that zeta, membership and
+        every t-only factor of a formula are evaluated once per time level."""
+        T = self.t_levels[:, None]
+        return self.y_levels * profile.zeta(T), T
 
     def describe(self) -> dict:
         return {
@@ -182,6 +184,7 @@ def check_sign(
     idx = int(np.nanargmin(flat))
     worst = float(flat[idx])
     passed = worst >= -SIGN_TOL
+    T = np.broadcast_to(T, R.shape)
     loc = (float(R.reshape(-1)[idx]), float(T.reshape(-1)[idx]))
     details = {}
     if non_finite.size:
@@ -260,7 +263,6 @@ def check_barrier_family(
     tol = SIGN_TOL
     R, T = grid.meshes(profile)
     kap_chi = pars.kap * pars.chi(R, -T)
-    t_col = grid.t_levels[:, None]      # gauge factors depend on t only
     t_ray = profile.t0 * (1e-8) ** (np.arange(1, 65) / 64)
     y_ray = (np.arange(1, _N_RAYS + 1)) / (_N_RAYS + 1.0)
     r_ray = y_ray[:, None] * np.asarray(profile.zeta(t_ray), dtype=float)
@@ -276,7 +278,7 @@ def check_barrier_family(
         Q = C + kap_chi
         sandwich_lo = float((Q - C).min())
         sandwich_hi = float((2.0 * C - Q).min())
-        lower = pars.envelope(C, np.asarray(delta(t_col), dtype=float), t_col, scale=1.0 / p)
+        lower = pars.envelope(C, np.asarray(delta(T), dtype=float), T, scale=1.0 / p)
         lower_margin = float((vals - lower).min())
         ok = (rep.passed and pos_min > 0.0 and sandwich_lo >= -tol
               and sandwich_hi >= -tol and lower_margin >= -tol)

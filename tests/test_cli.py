@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import petrocheck
 from petrocheck import solver
 from petrocheck.cli import main
 from petrocheck.errors import SolverError
@@ -9,6 +13,16 @@ from petrocheck.errors import SolverError
 
 def run(argv):
     return main(argv)
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # scipy.interpolate costs about 0.4 s of every start; only tabulated
+    # profiles need it, so importing the CLI must not load it
+    src = os.path.dirname(os.path.dirname(petrocheck.__file__))
+    code = "import sys, petrocheck.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestLemmaCheck:

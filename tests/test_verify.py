@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from petrocheck.barriers import find_family_threshold, make_barrier
-from petrocheck.calculus import Params, SpaceTimeFunction
+from petrocheck import calculus
+from petrocheck.barriers import BARRIER_KINDS, find_family_threshold, make_barrier
+from petrocheck.calculus import Params, SpaceTimeFunction, barenblatt_function
 from petrocheck.domains import envelope_gauge, make_profile
 from petrocheck.errors import DomainError
 from petrocheck.solver import SolverConfig
@@ -119,6 +120,50 @@ class TestCheckSign:
         a = canonical_json(check_sign(spec.fn, prof, 1.5, 2, grid=grid).to_dict())
         b = canonical_json(check_sign(spec.fn, prof, 1.5, 2, grid=grid).to_dict())
         assert a == b
+
+
+class TestAxisEvaluation:
+    """Certificate grids keep t as a column; the values and derivatives must
+    be those of the fully materialized mesh, bit for bit."""
+
+    @pytest.mark.parametrize("kind", BARRIER_KINDS + ("barenblatt",))
+    def test_column_matches_full_mesh(self, kind, family_setup, monkeypatch):
+        # a small jet block makes the pass run several row blocks
+        monkeypatch.setattr(calculus, "_JET_BLOCK", 100)
+        kw = {"singular_irregularity": dict(p=1.5, n=2, q=0.25),
+              "singular_traditional": dict(p=1.5, n=1, q=0.5),
+              "degenerate_irregularity": dict(p=3.0, n=2, C=0.01),
+              "degenerate_small_data": dict(p=3.0, n=1, q=0.3, beta=0.5)}
+        prof = family_setup[0]
+        R, T = make_cert_grid(prof, n_t=23, n_y=17).meshes(prof)
+        if kind == "barenblatt":
+            u, T = barenblatt_function(3.0, 2, 1.0), T + 2.0
+        elif kind == "degenerate_family_member":
+            u = family_setup[3][0].fn
+        else:
+            u = make_barrier(kind, **kw[kind]).fn
+        assert T.shape == (23, 1) and R.shape == (23, 17)
+        T_full = np.broadcast_to(T, R.shape).copy()
+        for r, t, r_full in ((R, T, R), (R[0], T, np.broadcast_to(R[0], R.shape).copy())):
+            np.testing.assert_array_equal(np.asarray(u(r, t)), u(r_full, T_full))
+            for axis, full in zip(u.derivatives(r, t), u.derivatives(r_full, T_full)):
+                assert axis.shape == R.shape
+                np.testing.assert_array_equal(axis, full)
+
+    def test_gauge_is_evaluated_once_per_time_level(self, family_setup):
+        prof, gauge, C0, _ = family_setup
+        sizes = []
+
+        def counting_delta(t):
+            sizes.append(np.size(t))
+            return gauge.delta(t)
+
+        counted = replace(gauge, delta=counting_delta)
+        w = make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, C=C0, gauge=counted)
+        sizes.clear()           # make_barrier samples the gauge for theta
+        rep = check_sign(w.fn, prof, 3.0, 1, grid=make_cert_grid(prof, n_t=40, n_y=30))
+        assert rep.passed
+        assert sizes and max(sizes) <= 40
 
 
 @pytest.fixture(scope="module")
