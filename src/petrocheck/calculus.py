@@ -346,23 +346,38 @@ def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.
     return _unwrap(coeff * r ** expo)
 
 
-def p_laplacian_radial_fd(u, p: float, n: int, r, t, h=1e-4):
-    """Second-order conservative finite-difference oracle for Lap_p u at (r, t).
+def _richardson(d, h):
+    """Fourth-order value of a second-order difference d(step), from the
+    steps h and h/2: (4 d(h/2) - d(h)) / 3."""
+    return (4.0 * d(h / 2.0) - d(h)) / 3.0
+
+
+def p_laplacian_radial_fd(u, p: float, n: int, r, t, h=1e-3):
+    """Fourth-order conservative finite-difference oracle for Lap_p u at (r, t).
 
     Discretizes r^(1-n) d/dr ( r^(n-1) |u_r|^(p-2) u_r ) with centered slopes
-    at the half points r +- h/2.  Independent of any closed form attached to u.
-    Meaningless at points where u is not smooth; the caller must keep h < r/2.
-    r, t and h may be arrays of one broadcast shape.
+    at the half points r +- k/2 for the steps k = h and h/2, and
+    Richardson-extrapolates the two.  One difference carries a rounding
+    error of about eps |u| phi'(u_r) / k^2 (1.4e-6 for u = 2r at r = 2,
+    p = 5, k = 1e-4); the extrapolation keeps the truncation error small at
+    steps where that floor stays far below 1e-6.  Independent of any closed
+    form attached to u.  Meaningless at points where u is not smooth; the
+    caller must keep h < r/2.  r, t and h may be arrays of one broadcast
+    shape.
     """
     if not np.all((0 < h) & (h < r / 2)):
         raise DomainError(f"need 0 < h < r/2, got h={h}, r={r}")
     fn = u.fn if isinstance(u, SpaceTimeFunction) else u
-    up, u0, um = fn(r + h, t), fn(r, t), fn(r - h, t)
-    s_plus = (up - u0) / h
-    s_minus = (u0 - um) / h
-    f_plus = (r + h / 2.0) ** (n - 1) * _phi(s_plus, p)
-    f_minus = (r - h / 2.0) ** (n - 1) * _phi(s_minus, p)
-    return _unwrap(np.asarray(r ** (1 - n) * (f_plus - f_minus) / h, dtype=float))
+    u0 = fn(r, t)
+
+    def difference(k):
+        s_plus = (fn(r + k, t) - u0) / k
+        s_minus = (u0 - fn(r - k, t)) / k
+        f_plus = (r + k / 2.0) ** (n - 1) * _phi(s_plus, p)
+        f_minus = (r - k / 2.0) ** (n - 1) * _phi(s_minus, p)
+        return r ** (1 - n) * (f_plus - f_minus) / k
+
+    return _unwrap(np.asarray(_richardson(difference, h), dtype=float))
 
 
 def barenblatt_support_radius(t: float, p: float, n: int, C: float) -> float:
@@ -429,7 +444,7 @@ def residual(
     r,
     t,
     method: str = "auto",
-    h: float = 1e-4,
+    h: float = 1e-3,
 ):
     """Pointwise residual du/dt - Lap_p u of a smooth radial field.
 
@@ -437,7 +452,8 @@ def residual(
     method="closed" uses the attached derivatives (one jet pass for a field
     built from a formula; vectorized and exact up to roundoff);
     method="fd" uses central differences for du/dt and the
-    conservative oracle for Lap_p; "auto" prefers closed forms.
+    conservative oracle for Lap_p, both Richardson-extrapolated from the
+    steps h and h/2; "auto" prefers closed forms.
     """
     if u.in_domain is not None and not np.all(u.in_domain(r, t)):
         raise DomainError(f"evaluation outside the domain of {u.label!r}")
@@ -460,8 +476,8 @@ def residual(
         t = np.asarray(t, dtype=float)
         # the oracle checks the step before anything divides by it
         lap = p_laplacian_radial_fd(u, p, n, r, t, h=np.minimum(h, r / 4.0))
-        ht = h * np.maximum(np.abs(t), 1.0)
-        dtu = (u.fn(r, t + ht) - u.fn(r, t - ht)) / (2.0 * ht)
+        dtu = _richardson(lambda k: (u.fn(r, t + k) - u.fn(r, t - k)) / (2.0 * k),
+                          h * np.maximum(np.abs(t), 1.0))
         return _unwrap(np.asarray(dtu - lap, dtype=float))
     raise ValueError(f"unknown method {method!r}")
 

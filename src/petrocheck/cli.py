@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lemma-check", help="closed form vs finite-difference oracle")
     common(sp)
     sp.add_argument("--samples", type=positive_int, default=50)
-    sp.add_argument("--h", type=finite_float, default=1e-4)
+    sp.add_argument("--h", type=finite_float, default=1e-3)
     sp.add_argument("--tol", type=finite_float, default=1e-6)
     sp.set_defaults(func=cmd_lemma_check)
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--C", type=finite_float, default=1.0)
     sp.add_argument("--points", type=positive_int, default=100)
-    sp.add_argument("--h", type=finite_float, default=1e-4)
+    sp.add_argument("--h", type=finite_float, default=1e-3)
     sp.add_argument("--tol", type=finite_float, default=1e-5)
     sp.set_defaults(func=cmd_barenblatt_check)
 

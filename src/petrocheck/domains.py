@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -193,6 +193,7 @@ class Gauge:
 
     delta/ddelta are callables on (t0, 0); monotone_flag records whether
     (-t)^(-beta) delta(t) is nondecreasing (verified on the stored samples).
+    power is (amp, exp) when delta = amp (-t)^exp in closed form, else None.
     The sampled values below are derived from delta on t_samples.
     """
 
@@ -203,7 +204,7 @@ class Gauge:
     ddelta: Optional[Callable]
     monotone_flag: bool
     t_samples: np.ndarray
-    meta: dict = field(default_factory=dict)
+    power: Optional[tuple] = None
 
     @cached_property
     def delta_samples(self) -> np.ndarray:
@@ -239,21 +240,21 @@ def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
 
     Sampled on geometric_times(t0) to resolve the t -> 0- limit; for power
     profiles the closed form delta = amp (-t)^exp and its derivative are
-    attached exactly, with amp and exp in meta.
+    attached exactly, with (amp, exp) as the gauge's power.
     """
     pars = Params(p=p, n=n)
     lam, beta = pars.lam, pars.beta
     if lam <= 0:
         raise DomainError(f"lambda = {lam} must be positive")
     ts = geometric_times(profile.t0)
-    meta = {"p": p, "n": n, "lambda": lam, "kind": profile.kind}
+    power = None
 
     if profile.kind == "power":
         Kd = profile.K ** pars.pp
         e = (profile.q - 1.0 / lam) * pars.pp
         delta, ddelta = _power_law(Kd, e)
         monotone = e <= beta + 1e-15
-        meta |= {"amp": Kd, "exp": e}
+        power = (Kd, e)
     else:
         zeta = profile.zeta
 
@@ -266,7 +267,7 @@ def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
         monotone = bool(np.all(np.diff(w) >= -1e-12 * np.maximum(1.0, w[:-1])))
 
     return Gauge(delta=delta, beta=beta, gamma=pars.gamma, t0=profile.t0, ddelta=ddelta,
-                 monotone_flag=monotone, t_samples=ts, meta=meta)
+                 monotone_flag=monotone, t_samples=ts, power=power)
 
 
 def running_sup(values) -> np.ndarray:
@@ -346,7 +347,6 @@ def monotone_smooth_envelope(t_samples, delta_tilde, beta: float) -> Gauge:
     return Gauge(
         delta=delta, beta=beta, gamma=None, t0=float(t_samples[0]), ddelta=ddelta,
         monotone_flag=True, t_samples=t_samples,
-        meta={"envelope_of": "delta_tilde", "shift": shift},
     )
 
 
@@ -360,21 +360,20 @@ def envelope_gauge(profile: DomainProfile, p: float, n: int) -> Gauge:
     raw = gauge_of(profile, p, n)
     beta, ts = raw.beta, raw.t_samples
     if profile.kind == "power":
-        Kd, e = raw.meta["amp"], raw.meta["exp"]
+        Kd, e = raw.power
         if e <= beta:
             amp, expo = 1.5 * Kd, e
         else:
             # weighted gauge decreases; its sup over (t0, t] is the left-end value
             amp, expo = 1.5 * Kd * (-profile.t0) ** (e - beta), beta
         delta, ddelta = _power_law(amp, expo)
-        extra = {"amp": amp, "exp": expo}
+        power = (amp, expo)
     else:
         delta_tilde = (-ts) ** beta * running_sup(raw.weighted(ts))
         env = monotone_smooth_envelope(ts, delta_tilde, beta)
-        delta, ddelta = env.delta, env.ddelta
-        extra = {"envelope": True}
+        delta, ddelta, power = env.delta, env.ddelta, None
     return Gauge(delta=delta, beta=beta, gamma=raw.gamma, t0=profile.t0, ddelta=ddelta,
-                 monotone_flag=True, t_samples=ts, meta=raw.meta | extra)
+                 monotone_flag=True, t_samples=ts, power=power)
 
 
 def scale_domain(profile: DomainProfile, a: float, p: float):

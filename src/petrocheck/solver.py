@@ -19,13 +19,16 @@ sign-upwinded first-order advection (the advection coefficient is <= 0 for
 shrinking widths, so the upwind side is y - h), a zero-flux symmetry cell at
 y = 0 and a Dirichlet node at y = 1.  Implicit Euler in time with a Newton
 solve of the monotone nonlinear system per step (tridiagonal analytic
-Jacobian, nonmonotone step acceptance that backtracks only on blow-up;
-Picard fallback with frozen flux coefficients when Newton has not converged
-after _NEWTON_MAX iterations or every backtracking trial fails).  The
-one-sided advection and the strictly increasing regularized flux make each
-step an M-matrix problem, so the scheme obeys a discrete comparison
-principle up to the nonlinear solve tolerance.  The stepper is the one statement of the transformed
-equation; the tests check it against the exact source solution B(r, t + 2).
+Jacobian and a backtracking line search: for p >= 2 a trial may raise the
+residual up to 5x, since degenerate fronts converge through transient
+increases; for p < 2, where the concave flux lets such trials wander, a trial
+must lower it).  A step that has not converged after _NEWTON_MAX iterations,
+or whose line-search trials all fail, raises SolverError.  The one-sided
+advection and the strictly increasing regularized flux make each step an
+M-matrix problem, so the scheme obeys a discrete comparison principle up to
+the nonlinear solve tolerance.  The stepper is the one statement of the
+transformed equation; the tests check it against the exact source solution
+B(r, t + 2).
 
 Cost per step: the coefficients that depend only on the time level (zeta,
 zeta', zeta^-p and the upwind split) are built once per step, and the
@@ -33,14 +36,14 @@ residual with the flux derivative that gives its Jacobian is assembled once
 per Newton iterate: the accepted line-search trial's assembly becomes the
 next iterate's, so a step that converges after k Newton iterations without
 backtracking costs k + 1 assemblies and k tridiagonal solves.  The Newton
-Jacobian and the Picard matrix are built from those coefficients by one
-routine, only for systems that are solved.  Each tridiagonal system goes straight
-to LAPACK gtsv (Gaussian elimination with partial pivoting, the routine
-scipy's solve_banded calls for one sub- and one super-diagonal), so results
-match solve_banded bit for bit.  A non-finite residual or Jacobian, or a
-singular system, raises SolverError with the step and time.  Each solve
-records its counts (steps, Newton iterations, assemblies, backtracks, Picard
-iterations) and the worst accepted scaled residual in GridField.meta["stats"].
+Jacobian is built from those coefficients only for systems that are solved.
+Each tridiagonal system goes straight to LAPACK gtsv (Gaussian elimination
+with partial pivoting, the routine scipy's solve_banded calls for one sub-
+and one super-diagonal), so results match solve_banded bit for bit.  A
+non-finite residual or Jacobian, or a singular system, raises SolverError
+with the step and time.  Each solve records its counts (steps, Newton
+iterations, assemblies, backtracks) and the worst accepted scaled residual
+in GridField.meta["stats"].
 
 Time grid: geometric (log-uniform) from t0 down to -eps_min, then each
 interval is subdivided until dt <= c_step * zeta(t)^p, because the
@@ -93,8 +96,7 @@ __all__ = [
 
 _BORDERLINE_RTOL = 1e-12  # |q - 1/p| below this counts as the borderline case
 RESIDUAL_TOL = 1e-11      # a step is solved when its scaled residual is <= this
-_NEWTON_MAX = 60          # Newton iterations before a step falls back to Picard
-_PICARD_MAX = 200         # Picard iterations before a step counts as stalled
+_NEWTON_MAX = 60          # Newton iterations before a step counts as stalled
 _MAX_STEPS = 2_000_000    # longest time grid time_grid builds
 _MAX_PRINCIPLE_TOL = 1e-9  # slack of GridField.check_max_principle
 # c_step of the default probe ladder's rungs.  Each implicit step is an
@@ -173,7 +175,6 @@ class RegularityVerdict:
             "theorem_verdict": self.theorem_verdict,
             "numeric_trend": self.numeric_trend,
             "numeric_trace": self.numeric_trace,
-            "certificate_refs": [],         # kept so report hashes do not move
             "meta": dict(sorted(self.meta.items())),
         }
 
@@ -234,8 +235,8 @@ class _Stepper:
 
     `stats` accumulates over the steps taken: every call of `assemble` counts
     as an assembly, so assemblies == steps + newton_iterations + backtracks
-    + picard_iterations (a Newton iteration's first line-search trial is its
-    own assembly; each further trial is a backtrack).
+    (a Newton iteration's first line-search trial is its own assembly; each
+    further trial is a backtrack).
     """
 
     def __init__(self, profile, p, n, cfg):
@@ -252,7 +253,7 @@ class _Stepper:
         self.y_half0 = self.h / 2.0
         self.axis_h = self.y_half0 * self.h
         self.stats = {"steps": 0, "newton_iterations": 0, "assemblies": 0,
-                      "backtracks": 0, "picard_iterations": 0, "worst_residual": 0.0}
+                      "backtracks": 0, "worst_residual": 0.0}
 
     def coefficients(self, t_new, dt) -> _StepCoefficients:
         z = float(self.profile.zeta(t_new))
@@ -274,9 +275,8 @@ class _Stepper:
         )
 
     def solve(self, c: _StepCoefficients, d, rhs, step_index, t_new):
-        """Solve the tridiagonal step system whose flux derivative at the half
-        points is d: phi'(s) gives the Newton Jacobian, the frozen coefficient
-        phi(s)/s the Picard matrix.
+        """Solve the Newton system J x = rhs, where J is the step's Jacobian
+        with flux derivative d = phi'(s) at the half points.
 
         The matrix goes straight to LAPACK gtsv, the routine solve_banded
         uses for one sub- and one super-diagonal.
@@ -351,15 +351,25 @@ class _Stepper:
         v[-1] = bc
         v, gnorm = self._newton(v, vold, c, bc, step_index, t_new)
         if not gnorm <= RESIDUAL_TOL:
-            v, gnorm = self._picard(v, gnorm, vold, c, bc, step_index, t_new)
+            raise SolverError(
+                f"nonlinear solve stalled at step {step_index} (t={t_new:.6g}, "
+                f"scaled |G|={gnorm:.3e})", step=step_index, t=t_new, residual=gnorm,
+            )
         self.stats["steps"] += 1
         self.stats["worst_residual"] = max(self.stats["worst_residual"], gnorm)
         return v
 
     def _newton(self, v, vold, c, bc, step_index, t_new):
         """Newton iterates with one assembly each: an accepted line-search
-        trial's residual and flux derivative are the next iterate's."""
+        trial's residual and flux derivative are the next iterate's.  Stops
+        at RESIDUAL_TOL, after _NEWTON_MAX iterations, or when all twelve
+        trials of a line search fail."""
         stats = self.stats
+        # nonmonotone acceptance for p >= 2: degenerate fronts (flat slopes)
+        # converge through transient residual increases, so damp only on
+        # blow-up; in the singular range the concave flux lets such trials
+        # wander, so a trial must lower the residual
+        growth = 5.0 if self.p >= 2.0 else 1.0
         G, dphi, gnorm = self.assemble(v, vold, c, bc)
         for _ in range(_NEWTON_MAX):
             if gnorm <= RESIDUAL_TOL:
@@ -370,39 +380,18 @@ class _Stepper:
                                   residual=gnorm)
             dv = self.solve(c, dphi, -G, step_index, t_new)
             stats["newton_iterations"] += 1
-            # nonmonotone acceptance: degenerate fronts (p > 2, flat slopes)
-            # converge through transient residual increases, so only damp on
-            # blow-up or non-finite trials
             lam = 1.0
             for tries in range(12):
                 trial = v + lam * dv
                 Gt, dphit, gt = self.assemble(trial, vold, c, bc)
-                if accepted := math.isfinite(gt) and gt < 5.0 * gnorm:
+                if accepted := math.isfinite(gt) and gt < growth * gnorm:
                     break
                 lam *= 0.5
             stats["backtracks"] += tries
             if not accepted:
-                break               # every trial failed: Picard takes the step
+                break
             v, G, dphi, gnorm = trial, Gt, dphit, gt
         return v, gnorm
-
-    def _picard(self, v, gnorm, vold, c, bc, step_index, t_new):
-        """Picard fallback: freeze the flux coefficient w = phi(s)/s."""
-        cfg = self.cfg
-        rhs = vold.copy()
-        rhs[-1] = bc
-        for _ in range(_PICARD_MAX):
-            s = (v[1:] - v[:-1]) / self.h
-            w = (s * s + cfg.eps_reg ** 2) ** ((self.p - 2.0) / 2.0)
-            v = self.solve(c, w, rhs, step_index, t_new)
-            self.stats["picard_iterations"] += 1
-            gnorm = self.assemble(v, vold, c, bc)[2]
-            if gnorm <= RESIDUAL_TOL:
-                return v, gnorm
-        raise SolverError(
-            f"nonlinear solve stalled at step {step_index} (t={t_new:.6g}, "
-            f"scaled |G|={gnorm:.3e})", step=step_index, t=t_new, residual=gnorm,
-        )
 
 
 def solve_dirichlet(
@@ -411,15 +400,12 @@ def solve_dirichlet(
     n: int,
     f: Callable,
     cfg: SolverConfig,
-    t_nodes: Optional[np.ndarray] = None,
-    initial_values: Optional[np.ndarray] = None,
 ) -> GridField:
-    """March the discrete Dirichlet problem from t0 toward 0.
+    """March the discrete Dirichlet problem from t0 toward 0 on time_grid.
 
-    f(r, t) supplies the parabolic boundary data: the bottom slice at t0
-    (unless initial_values overrides it) and the lateral value f(zeta(t), t)
-    at each time level.  Returns the full space-time field up to -eps_min.
-    t_nodes may override the time grid (used by restriction experiments).
+    f(r, t) supplies the parabolic boundary data: the bottom slice at t0 and
+    the lateral value f(zeta(t), t) at each time level.  Returns the full
+    space-time field up to -eps_min.
     """
     Params(p=p, n=n)            # rejects bad p and n before any step
     if profile.dzeta is None:
@@ -427,19 +413,10 @@ def solve_dirichlet(
             "profile has no usable width derivative (tabulated profiles need "
             "the monotone spline built by profile_from_samples)"
         )
-    ts = np.asarray(t_nodes, dtype=float) if t_nodes is not None else time_grid(profile, p, cfg)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0) or ts[-1] >= 0:
-        raise DomainError("t_nodes must be strictly increasing and negative")
+    ts = time_grid(profile, p, cfg)
     stepper = _Stepper(profile, p, n, cfg)
     y = stepper.y
-
-    if initial_values is not None:
-        v = np.asarray(initial_values, dtype=float).copy()
-        if v.shape != y.shape:
-            raise DomainError("initial_values shape mismatch")
-    else:
-        v = np.asarray(f(y * float(profile.zeta(ts[0])), ts[0]), dtype=float).copy()
-
+    v = np.asarray(f(y * float(profile.zeta(ts[0])), ts[0]), dtype=float).copy()
     values = np.empty((ts.size, y.size))
     values[0] = v
     data_min = float(v.min())

@@ -62,7 +62,7 @@ def test_criterion_1_lemma_agreement():
         closed = p_laplacian_radial_power(C, alpha, p, n, r)
         u = SpaceTimeFunction(
             fn=lambda rr, tt, C=C, alpha=alpha: C * np.asarray(rr, dtype=float) ** alpha)
-        oracle = p_laplacian_radial_fd(u, p, n, r, -1.0, h=1e-4)
+        oracle = p_laplacian_radial_fd(u, p, n, r, -1.0)
         worst = max(worst, abs(closed - oracle) / (1.0 + abs(closed)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -85,7 +85,7 @@ def test_criterion_2_barenblatt_residual():
             else:
                 points.append((float(rng.uniform(0.05, 3.0)), t))
         r, t = np.array(points).T
-        worst = max(worst, float(np.max(np.abs(residual(B, p, n, r, t, method="fd", h=1e-4)))))
+        worst = max(worst, float(np.max(np.abs(residual(B, p, n, r, t, method="fd")))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 5.0
     report(2, "self-similar solution residual", ok,

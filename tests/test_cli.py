@@ -33,6 +33,11 @@ class TestLemmaCheck:
     def test_linear_case(self):
         assert run(["lemma-check", "--p", "2", "--n", "3", "--samples", "30"]) == 0
 
+    def test_oracle_clears_its_rounding_floor(self, capsys):
+        # a plain difference at h = 1e-4 reached 1.264e-6 on these samples
+        assert run(["lemma-check", "--p", "5", "--n", "1"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_usage_error_on_bad_p(self, capsys):
         assert run(["lemma-check", "--p", "0.9", "--n", "2"]) == 1
 
