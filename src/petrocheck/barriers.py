@@ -363,15 +363,19 @@ def make_barrier(kind: str, p: float, n: int, q: Optional[float] = None,
     The reference cusp is the power profile K(-t)^q from t0, with q = 1/p for
     degenerate_irregularity.  Only singular_irregularity and
     degenerate_family_member take a K other than 1; the other three kinds are
-    constructed on the K = 1 cusp and reject any other.
+    constructed on the K = 1 cusp and reject any other.  A
+    degenerate_family_member is certified on the cusp its gauge was built
+    from (envelope_gauge), power or not, so it needs no q; a power cusp given
+    with it must be that one.
     """
     if kind not in BARRIER_KINDS:
         raise DomainError(f"unknown barrier kind {kind!r}; valid: {BARRIER_KINDS}")
     if K != 1.0 and kind not in ("singular_irregularity", "degenerate_family_member"):
         raise DomainError(f"{kind} is constructed on the K = 1 cusp, got K={K}")
     params = Params(p=p, n=n)
-    profile = make_profile("power", K=K, t0=t0,
-                           q=1.0 / p if kind == "degenerate_irregularity" else q)
+    if kind != "degenerate_family_member" or q is not None:
+        profile = make_profile("power", K=K, t0=t0,
+                               q=1.0 / p if kind == "degenerate_irregularity" else q)
     if kind == "singular_irregularity":
         fn = singular_irregularity_barrier(p, q, n)
         consts = {"tip_value": 1.0}
@@ -391,6 +395,15 @@ def make_barrier(kind: str, p: float, n: int, q: Optional[float] = None,
     else:
         if C is None or gauge is None:
             raise DomainError("degenerate_family_member needs C and a gauge")
+        own = gauge.profile
+        if own is None:
+            raise DomainError("gauge must carry the profile it was built from "
+                              "(use envelope_gauge)")
+        if q is not None and (K, q, t0) != (own.K, own.q, own.t0):
+            raise DomainError(
+                f"the gauge was built on the {own.kind} cusp K={own.K}, q={own.q}, "
+                f"t0={own.t0}, not on the given K={K}, q={q}, t0={t0}")
+        profile = own
         fn = degenerate_family_member(p, n, gauge, C)
         consts = {"C": C, "beta_gauge": gauge.beta, "theta": gauge.theta}
     consts["lambda"] = params.lam

@@ -129,8 +129,7 @@ def cmd_verify(args) -> int:
         profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
         gauge = dom.envelope_gauge(profile, args.p, args.n)
         C0, det = bar.find_family_threshold(args.p, args.n, gauge)
-        ladder = [bar.make_barrier(args.kind, p=args.p, n=args.n, q=args.q,
-                                   K=args.K, t0=args.t0, C=C0 * 2 ** j, gauge=gauge)
+        ladder = [bar.make_barrier(args.kind, p=args.p, n=args.n, C=C0 * 2 ** j, gauge=gauge)
                   for j in range(args.ladder + 1)]
         grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
         rep = ver.check_barrier_family(ladder, profile, args.p, args.n,

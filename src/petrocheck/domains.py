@@ -194,7 +194,9 @@ class Gauge:
     delta/ddelta are callables on (t0, 0); monotone_flag records whether
     (-t)^(-beta) delta(t) is nondecreasing (verified on the stored samples).
     power is (amp, exp) when delta = amp (-t)^exp in closed form, else None.
-    The sampled values below are derived from delta on t_samples.
+    profile is the cusp the gauge was built from (None for an envelope of
+    bare samples).  The sampled values below are derived from delta on
+    t_samples.
     """
 
     delta: Callable
@@ -205,6 +207,7 @@ class Gauge:
     monotone_flag: bool
     t_samples: np.ndarray
     power: Optional[tuple] = None
+    profile: Optional[DomainProfile] = None
 
     @cached_property
     def delta_samples(self) -> np.ndarray:
@@ -267,7 +270,7 @@ def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
         monotone = bool(np.all(np.diff(w) >= -1e-12 * np.maximum(1.0, w[:-1])))
 
     return Gauge(delta=delta, beta=beta, gamma=pars.gamma, t0=profile.t0, ddelta=ddelta,
-                 monotone_flag=monotone, t_samples=ts, power=power)
+                 monotone_flag=monotone, t_samples=ts, power=power, profile=profile)
 
 
 def running_sup(values) -> np.ndarray:
@@ -373,7 +376,7 @@ def envelope_gauge(profile: DomainProfile, p: float, n: int) -> Gauge:
         env = monotone_smooth_envelope(ts, delta_tilde, beta)
         delta, ddelta, power = env.delta, env.ddelta, None
     return Gauge(delta=delta, beta=beta, gamma=raw.gamma, t0=profile.t0, ddelta=ddelta,
-                 monotone_flag=True, t_samples=ts, power=power)
+                 monotone_flag=True, t_samples=ts, power=power, profile=profile)
 
 
 def scale_domain(profile: DomainProfile, a: float, p: float):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,10 +407,36 @@ class TestBarrierSpec:
             make_barrier(kind, n=1, K=3.0, **kwargs)
 
     def test_family_member_honours_K(self, flagship):
-        _, gauge, C0, _ = flagship
+        # K comes with the gauge's cusp; a K = 2 member on the K = 1 gauge
+        # would certify one cusp and report another
+        prof = make_profile("power", K=2.0, q=0.5, t0=-1.0)
+        gauge = envelope_gauge(prof, 3.0, 1)
+        C0, _ = find_family_threshold(3.0, 1, gauge)
         spec = make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, K=2.0,
                             C=C0, gauge=gauge)
-        assert spec.reference_profile().K == 2.0
+        assert spec.reference_profile() is prof and prof.K == 2.0
+        with pytest.raises(DomainError, match="gauge was built on the power cusp K=1.0"):
+            make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, K=2.0,
+                         C=C0, gauge=flagship[1])
+
+    def test_family_member_on_loglog_cusp(self):
+        # no power q is needed, and the member reports the cusp its gauge
+        # came from
+        prof = make_profile("petrovskii_loglog", K=1.0, t0=-0.3)
+        gauge = envelope_gauge(prof, 3.0, 1)
+        C0, _ = find_family_threshold(3.0, 1, gauge)
+        spec = make_barrier("degenerate_family_member", p=3.0, n=1, C=C0, gauge=gauge)
+        assert spec.reference_profile() is prof
+        assert spec.to_json_dict("h")["parameters"] == {
+            "p": 3.0, "n": 1, "q": None, "K": 1.0, "t0": -0.3}
+        with pytest.raises(DomainError, match="petrovskii_loglog cusp"):
+            make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, t0=-0.3,
+                         C=C0, gauge=gauge)
+
+    def test_family_member_needs_the_gauge_profile(self, flagship):
+        bare = replace(flagship[1], profile=None)
+        with pytest.raises(DomainError, match="profile it was built from"):
+            make_barrier("degenerate_family_member", p=3.0, n=1, C=flagship[2], gauge=bare)
 
     @pytest.mark.parametrize("kind, kwargs, with_gauge, needs", [
         ("degenerate_irregularity", dict(), False, "needs C"),
