@@ -443,7 +443,7 @@ def residual(
     n: int,
     r,
     t,
-    method: str = "auto",
+    method: str = "closed",
     h: float = 1e-3,
 ):
     """Pointwise residual du/dt - Lap_p u of a smooth radial field.
@@ -453,12 +453,11 @@ def residual(
     built from a formula; vectorized and exact up to roundoff);
     method="fd" uses central differences for du/dt and the
     conservative oracle for Lap_p, both Richardson-extrapolated from the
-    steps h and h/2; "auto" prefers closed forms.
+    steps h and h/2.  A field without closed forms raises DomainError
+    unless "fd" is asked for, so no certificate falls back to differences.
     """
     if u.in_domain is not None and not np.all(u.in_domain(r, t)):
         raise DomainError(f"evaluation outside the domain of {u.label!r}")
-    if method == "auto":
-        method = "closed" if u.has_closed_derivatives else "fd"
     if method == "closed":
         if not u.has_closed_derivatives:
             raise DomainError(f"{u.label!r} has no closed-form derivatives")

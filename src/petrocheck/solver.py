@@ -13,46 +13,49 @@ The transformed equation solved here is therefore
 
     dv/dt = y (zeta'/zeta) v_y + zeta(t)^(-p) y^(1-n) (y^(n-1) phi(v_y))_y ,
 
-with phi(s) = (s^2 + eps_reg^2)^((p-2)/2) s.  Discretization: vertex-centered
-finite volumes on a uniform y-grid with staggered fluxes at the half points,
-sign-upwinded first-order advection (the advection coefficient has the sign
-of zeta' at every node, so one upwind side serves a whole step: y - h for
-shrinking widths), a zero-flux symmetry cell at y = 0 and a Dirichlet node at
-y = 1.  Implicit Euler in time with a Newton solve of the monotone nonlinear
-system per step (tridiagonal analytic Jacobian and a backtracking line
-search: for p >= 2 a trial may raise the residual up to 5x, since degenerate
+with phi(s) = (s^2 + eps_reg^2)^((p-2)/2) s.
+
+Discretization: vertex-centered finite volumes on the uniform grid y_i = i h,
+i = 0..N, with the fluxes phi_{i+1/2} = phi((v_{i+1} - v_i)/h) at the half
+points, a zero-flux symmetry cell at y = 0, a Dirichlet node at y = 1,
+first-order upwind advection and implicit Euler in time.  A step of length
+dt to the level t has the weights, with zeta and zeta' taken at t,
+
+    w0 = dt zeta^-p n / (h/2)                                (symmetry cell)
+    wp_i, wm_i = dt zeta^-p y_i^(1-n) y_{i+-1/2}^(n-1) / h   (faces of node i)
+    A_i = dt |y_i zeta'/zeta| / h                            (advection)
+
+and, since zeta'/zeta has one sign on the whole grid, one upwind neighbour
+u = i + 1 (zeta' > 0) or u = i - 1 for every row.  Row i of the residual is
+
+    G_i = v_i - vold_i - [A_i (v_u - v_i) + wp_i phi_{i+1/2} - wm_i phi_{i-1/2}],
+
+row 0 is v_0 - vold_0 - w0 phi_{1/2} and row N is v_N - bc.  With
+d = phi'/h at the half points, row i of the tridiagonal Jacobian J is
+
+    J[i, i-1] = -wm_i d_{i-1/2}            (- A_i if u = i - 1)
+    J[i, i]   = 1 + wp_i d_{i+1/2} + wm_i d_{i-1/2} + A_i
+    J[i, i+1] = -wp_i d_{i+1/2}            (- A_i if u = i + 1)
+
+row 0 is (1 + w0 d_{1/2}, -w0 d_{1/2}) and row N is the identity's.  The
+weights are built once per step and both G and J read them.  J is an
+M-matrix at any dt, so the scheme obeys a discrete comparison principle up
+to the nonlinear solve tolerance; the tests check it against the exact
+source solution B(r, t + 2).
+
+Each step solves G = 0 by Newton with J and a backtracking line search: for
+p >= 2 a trial may raise the scaled residual up to 5x, since degenerate
 fronts converge through transient increases; for p < 2, where the concave
-flux lets such trials wander, a trial must lower it).  Newton starts step k
+flux lets such trials wander, a trial must lower it.  Newton starts step k
 from the secant extrapolation v_{k-1} + (dt_k/dt_{k-1}) (v_{k-1} - v_{k-2})
 of the last two levels, with the Dirichlet node set to its datum; step 1
-starts from v_0.  A step that has not converged after _NEWTON_MAX
-iterations, or whose line-search trials all fail, raises SolverError.  The
-one-sided advection and the strictly increasing regularized flux make each
-step an M-matrix problem, so the scheme obeys a discrete comparison
-principle up to the nonlinear solve tolerance.  The stepper is the one statement of the
-transformed equation; the tests check it against the exact source solution
-B(r, t + 2).
-
-Cost per step: the extrapolated start cuts Newton iterations per step from
-4.89 (started at the previous level) to 3.09 on the criterion-8 solve (p = 3,
-q = 0.5, n_y = 65, n_t = 200), and the assemblies of rung 3 of the (3, 0.6, 1)
-default ladder from 4,107 to 2,283.  It changes no acceptance test, so fields
-move only within the residual tolerance (3.2e-12 on that solve), and where the
-last two levels agree exactly the start is the previous level itself.  The
-coefficients that depend only on the time level (zeta, zeta', zeta^-p and the
-upwind side) are built once per step, and the residual with the flux
-derivative that gives its Jacobian is assembled once per Newton iterate: the
-accepted line-search trial's assembly becomes the next iterate's, so a step
-that converges after k Newton iterations without backtracking costs k + 1
-assemblies and k tridiagonal solves.  The Newton
-Jacobian is built from those coefficients only for systems that are solved.
-Each tridiagonal system goes straight to LAPACK gtsv (Gaussian elimination
-with partial pivoting, the routine scipy's solve_banded calls for one sub-
-and one super-diagonal), so results match solve_banded bit for bit.  A
-non-finite residual or Jacobian, or a singular system, raises SolverError
-with the step and time.  Each solve records its counts (steps, Newton
-iterations, assemblies, backtracks) and the worst accepted scaled residual
-in GridField.meta["stats"].
+starts from v_0.  A step is solved when max_i |G_i| / scale_i <= RESIDUAL_TOL,
+where scale_i is 1 + |v_i| + |vold_i| plus the magnitude of each term of
+row i.  A step that has not converged after _NEWTON_MAX iterations, or
+whose line-search trials all fail, raises SolverError, as do a non-finite
+residual or Jacobian and a singular system (LAPACK gtsv).  Each solve
+records its counts (steps, Newton iterations, assemblies, backtracks) and
+the worst accepted scaled residual in GridField.meta["stats"].
 
 Time grid: geometric (log-uniform) from t0 down to -eps_min, then each
 interval is subdivided until dt <= c_step * zeta(t)^p, because the
@@ -224,18 +227,14 @@ def _flux(s, p, eps):
 
 
 class _StepCoefficients(NamedTuple):
-    """Values of one time step's discrete operator that do not depend on the
-    iterate (zeta^-p is written dscale, the radial weight y^(1-n) radial)."""
+    """The weights of one step's operator, built once per step (see the
+    module docstring); the residual and its Jacobian both read them."""
 
-    dt: float
-    axis: float             # dscale * n: flux factor of the symmetry cell
-    axis_jac: float         # dt * dscale * n
-    radial: np.ndarray      # dscale * radial at the interior nodes
-    jac_plus: np.ndarray    # dt * dscale * radial * geom_plus
-    jac_minus: np.ndarray   # dt * dscale * radial * geom_minus
-    a: np.ndarray           # advection coefficient y zeta'/zeta, interior nodes
-    up: bool                # zeta' > 0, so a > 0 at every node: upwind side is i+1
-    A: np.ndarray           # dt * |a| / h, coupling to the upwind neighbour
+    w0: float               # symmetry cell
+    wp: np.ndarray          # face i+1/2 of each interior node i
+    wm: np.ndarray          # face i-1/2 of each interior node i
+    up: bool                # zeta' > 0, so the upwind neighbour is i+1
+    A: np.ndarray           # advection, interior nodes
 
 
 class _Stepper:
@@ -249,59 +248,61 @@ class _Stepper:
 
     def __init__(self, profile, p, n, cfg):
         self.profile, self.p, self.n, self.cfg = profile, p, n, cfg
-        ny = cfg.n_y
-        self.y = np.linspace(0.0, 1.0, ny)
+        self.y = np.linspace(0.0, 1.0, cfg.n_y)
         self.h = self.y[1] - self.y[0]
-        self.h2 = self.h * self.h
+        # y_i^(1-n) y_{i+-1/2}^(n-1) / h at the interior nodes i
         yh = self.y[:-1] + self.h / 2.0             # half points y_{i+1/2}
-        self.geom_plus = yh[1:] ** (n - 1)          # faces i+1/2 for i=1..ny-2
-        self.geom_minus = yh[:-1] ** (n - 1)        # faces i-1/2 for i=1..ny-2
-        self.y_inner = self.y[1:-1]
-        self.radial = self.y_inner ** (1 - n)
-        self.y_half0 = self.h / 2.0
-        self.axis_h = self.y_half0 * self.h
+        radial = self.y[1:-1] ** (1 - n) / self.h
+        self.geom_plus = radial * yh[1:] ** (n - 1)
+        self.geom_minus = radial * yh[:-1] ** (n - 1)
         self.stats = {"steps": 0, "newton_iterations": 0, "assemblies": 0,
                       "backtracks": 0, "worst_residual": 0.0}
 
     def coefficients(self, t_new, dt) -> _StepCoefficients:
         z = float(self.profile.zeta(t_new))
         dz = float(self.profile.dzeta(t_new))
-        dscale = z ** (-self.p)
-        a = self.y_inner * (dz / z)
-        up = dz / z > 0.0       # a has this sign at every node, since y > 0
+        w = dt * z ** (-self.p)
         return _StepCoefficients(
-            dt=dt,
-            axis=dscale * self.n,
-            axis_jac=dt * dscale * self.n,
-            radial=dscale * self.radial,
-            jac_plus=dt * dscale * self.radial * self.geom_plus,
-            jac_minus=dt * dscale * self.radial * self.geom_minus,
-            a=a,
-            up=up,
-            A=dt * (a if up else -a) / self.h,
+            w0=w * self.n / (self.h / 2.0),
+            wp=w * self.geom_plus,
+            wm=w * self.geom_minus,
+            up=dz > 0.0,
+            A=(dt * abs(dz / z) / self.h) * self.y[1:-1],
         )
 
-    def solve(self, c: _StepCoefficients, d, rhs, step_index, t_new):
-        """Solve the Newton system J x = rhs, where J is the step's Jacobian
-        with flux derivative d = phi'(s) at the half points.
+    def assemble(self, v, vold, c: _StepCoefficients, bc):
+        """G(v), the flux derivative phi'(s) at the half points, and the
+        scaled residual norm.  The norm is scaled because an absolute test
+        is unreachable where the regularized flux makes terms large but
+        cancelling; RESIDUAL_TOL is the roundoff floor of evaluating G."""
+        self.stats["assemblies"] += 1
+        phi, dphi = _flux((v[1:] - v[:-1]) / self.h, self.p, self.cfg.eps_reg)
+        terms = np.zeros((3, v.size))       # advection, outflow, inflow of each row
+        terms[0, 1:-1] = c.A * ((v[2:] if c.up else v[:-2]) - v[1:-1])
+        terms[1, 0] = c.w0 * phi[0]
+        terms[1, 1:-1] = c.wp * phi[1:]
+        terms[2, 1:-1] = c.wm * phi[:-1]
+        G = v - vold - (terms[0] + (terms[1] - terms[2]))
+        scale = 1.0 + np.abs(v) + np.abs(vold) + np.abs(terms).sum(axis=0)
+        G[-1] = v[-1] - bc                  # Dirichlet row at y = 1
+        scale[-1] = 1.0 + abs(bc)
+        return G, dphi, float((np.abs(G) / scale).max())
 
-        The matrix goes straight to LAPACK gtsv, the routine solve_banded
-        uses for one sub- and one super-diagonal.
-        """
-        ny = d.size + 1
-        diag = np.empty(ny)
-        sub = np.empty(ny - 1)                       # J[i, i-1]
-        sup = np.empty(ny - 1)                       # J[i, i+1]
-        c0 = c.axis_jac * d[0] / self.axis_h
-        diag[0] = 1.0 + c0
-        sup[0] = -c0
-        Dp = c.jac_plus * d[1:] / self.h2
-        Dm = c.jac_minus * d[:-1] / self.h2
+    def solve(self, c: _StepCoefficients, dphi, rhs, step_index, t_new):
+        """Solve J x = rhs, where J is the Jacobian of G at the iterate whose
+        flux derivative at the half points is dphi, by LAPACK gtsv."""
+        d = dphi / self.h
+        Dp = c.wp * d[1:]
+        Dm = c.wm * d[:-1]
+        diag = np.empty(rhs.size)
+        sup = np.empty(rhs.size - 1)                 # J[i, i+1]
+        sub = np.zeros(rhs.size - 1)                 # J[i, i-1]; 0 in the Dirichlet row
+        diag[0] = 1.0 + c.w0 * d[0]
+        sup[0] = -c.w0 * d[0]
         diag[1:-1] = 1.0 + Dp + Dm + c.A
+        diag[-1] = 1.0
         sup[1:] = -(Dp + c.A) if c.up else -Dp
         sub[:-1] = -Dm if c.up else -(Dm + c.A)
-        diag[-1] = 1.0                               # Dirichlet row at y = 1
-        sub[-1] = 0.0
         # the off-diagonals are minus non-negative parts of the diagonal, so a
         # non-finite entry anywhere in the matrix shows in diag
         if not np.isfinite(diag).all():
@@ -314,71 +315,24 @@ class _Stepper:
                               step=step_index, t=t_new)
         return x
 
-    def assemble(self, v, vold, c: _StepCoefficients, bc):
-        """G(v), the flux derivative phi'(s) that gives its Jacobian, and the
-        scaled residual norm.
-
-        The norm is max_i |G_i| / scale_i, where scale_i bounds the terms
-        combined in row i; the nonlinear solve accepts norm <= RESIDUAL_TOL,
-        which is the roundoff floor of evaluating G (an absolute test is
-        unreachable when the regularized flux makes individual terms large
-        but cancelling).
-        """
-        self.stats["assemblies"] += 1
-        p, eps, h, dt = self.p, self.cfg.eps_reg, self.h, c.dt
-        s = (v[1:] - v[:-1]) / h                     # slopes at half points
-        phi, dphi = _flux(s, p, eps)
-
-        G = np.empty_like(v)
-        scale = np.empty_like(v)
-
-        # symmetry cell at y = 0: zero flux through the axis
-        L0 = c.axis * phi[0] / self.y_half0
-        G[0] = v[0] - vold[0] - dt * L0
-        scale[0] = 1.0 + abs(v[0]) + abs(vold[0]) + dt * abs(L0)
-
-        # interior rows i = 1..ny-2
-        Fp = self.geom_plus * phi[1:]
-        Fm = self.geom_minus * phi[:-1]
-        diff = c.radial * (Fp - Fm) / h
-        diff_mag = c.radial * (np.abs(Fp) + np.abs(Fm)) / h
-        adv = c.a * (s[1:] if c.up else s[:-1])
-        G[1:-1] = v[1:-1] - vold[1:-1] - dt * (adv + diff)
-        scale[1:-1] = (1.0 + np.abs(v[1:-1]) + np.abs(vold[1:-1])
-                       + dt * (np.abs(adv) + diff_mag))
-
-        # Dirichlet row at y = 1
-        G[-1] = v[-1] - bc
-        scale[-1] = 1.0 + abs(bc)
-        return G, dphi, float((np.abs(G) / scale).max())
-
     def step(self, vold, start, t_new, dt, bc, step_index):
-        """Solve the step from vold to t_new, with Newton started at start
-        (its Dirichlet node set to bc)."""
-        c = self.coefficients(t_new, dt)
-        v = start.copy()
-        v[-1] = bc
-        v, gnorm = self._newton(v, vold, c, bc, step_index, t_new)
-        if not gnorm <= RESIDUAL_TOL:
-            raise SolverError(
-                f"nonlinear solve stalled at step {step_index} (t={t_new:.6g}, "
-                f"scaled |G|={gnorm:.3e})", step=step_index, t=t_new, residual=gnorm,
-            )
-        self.stats["steps"] += 1
-        self.stats["worst_residual"] = max(self.stats["worst_residual"], gnorm)
-        return v
+        """Solve the step from vold to t_new by Newton, started at start with
+        its Dirichlet node set to bc.
 
-    def _newton(self, v, vold, c, bc, step_index, t_new):
-        """Newton iterates with one assembly each: an accepted line-search
-        trial's residual and flux derivative are the next iterate's.  Stops
-        at RESIDUAL_TOL, after _NEWTON_MAX iterations, or when all twelve
-        trials of a line search fail."""
+        Each Newton iterate costs one assembly: an accepted line-search
+        trial's residual and flux derivative are the next iterate's.  The
+        step fails after _NEWTON_MAX iterations, or when all twelve trials
+        of a line search fail.
+        """
+        c = self.coefficients(t_new, dt)
         stats = self.stats
         # nonmonotone acceptance for p >= 2: degenerate fronts (flat slopes)
         # converge through transient residual increases, so damp only on
         # blow-up; in the singular range the concave flux lets such trials
         # wander, so a trial must lower the residual
         growth = 5.0 if self.p >= 2.0 else 1.0
+        v = start.copy()
+        v[-1] = bc
         G, dphi, gnorm = self.assemble(v, vold, c, bc)
         for _ in range(_NEWTON_MAX):
             if gnorm <= RESIDUAL_TOL:
@@ -400,7 +354,14 @@ class _Stepper:
             if not accepted:
                 break
             v, G, dphi, gnorm = trial, Gt, dphit, gt
-        return v, gnorm
+        if not gnorm <= RESIDUAL_TOL:
+            raise SolverError(
+                f"nonlinear solve stalled at step {step_index} (t={t_new:.6g}, "
+                f"scaled |G|={gnorm:.3e})", step=step_index, t=t_new, residual=gnorm,
+            )
+        stats["steps"] += 1
+        stats["worst_residual"] = max(stats["worst_residual"], gnorm)
+        return v
 
 
 def solve_dirichlet(
@@ -462,25 +423,18 @@ def default_probe(r, t):
 
 
 def _default_ladder(t0: float) -> list:
-    """The rungs probe_origin runs when it is given no ladder, each without
-    the stiffness cap."""
+    """The rungs probe_origin runs, each without the stiffness cap."""
     return [{"eps_min": frac * abs(t0), "n_y": n_y, "n_t": n_t,
              "c_step": _UNCAPPED_C_STEP}
             for frac, n_y, n_t in ((1e-2, 65, 200), (1e-3, 97, 400), (1e-4, 129, 800))]
 
 
-def probe_origin(
-    profile: DomainProfile,
-    p: float,
-    n: int,
-    ladder: Optional[list] = None,
-) -> dict:
-    """Tip-attainment probe across a refinement ladder.
+def probe_origin(profile: DomainProfile, p: float, n: int) -> dict:
+    """Tip-attainment probe across the refinement ladder _default_ladder(t0).
 
     Each rung solves down to its eps_min and records the axis endpoint
     u(0, -eps_min) under the boundary datum default_probe, and its grid and
-    step count in rungs; ladder defaults to _default_ladder(t0).  Trend rules
-    (declared in PROBE_THRESHOLDS):
+    step count in rungs.  Trend rules (declared in PROBE_THRESHOLDS):
 
       attains: last endpoint < attains_endpoint and every successive
                endpoint ratio < attains_ratio (the trace keeps collapsing
@@ -491,10 +445,8 @@ def probe_origin(
       inconclusive otherwise (including any failed rung).
     """
     th = PROBE_THRESHOLDS
-    if ladder is None:
-        ladder = _default_ladder(profile.t0)
     endpoints, rungs, trace = [], [], None
-    for rung in ladder:
+    for rung in _default_ladder(profile.t0):
         cfg = SolverConfig(**rung)
         try:
             fld = solve_dirichlet(profile, p, n, default_probe, cfg)
@@ -529,51 +481,38 @@ def classify(
     n: int = 1,
     K: float = 1.0,
     with_probe: bool = False,
-    ladder: Optional[list] = None,
 ) -> RegularityVerdict:
     """Exact regularity verdict for the power cusp |x| < K(-t)^q at the tip.
 
     The amplitude K is irrelevant for p != 2 (space dilations preserve
     regularity); for p = 2 the verdict is stated for the power profile,
     where q >= 1/2 is regular.  The singular borderline q = 1/p (p < 2) is
-    reported Unknown, never guessed.  Bad p or n (Params) and bad K or q
-    (make_profile) raise DomainError before any work, and a malformed probe
-    ladder (SolverConfig) raises it before its rung runs.
+    reported Unknown, never guessed; q within _BORDERLINE_RTOL * max(1, 1/p)
+    of 1/p counts as the borderline.  Bad p or n (Params) and bad K or q
+    (make_profile) raise DomainError before any work.
     """
     Params(p=p, n=n)
     profile = make_profile("power", K=K, q=q, t0=-1.0)
     inv_p = 1.0 / p
-    borderline = abs(q - inv_p) <= _BORDERLINE_RTOL * max(1.0, inv_p)
-    if p > 2:
-        verdict = "Regular" if (q > inv_p and not borderline) else "Irregular"
-    elif p == 2:
-        verdict = "Regular" if (q >= 0.5 or abs(q - 0.5) <= _BORDERLINE_RTOL) else "Irregular"
+    if abs(q - inv_p) <= _BORDERLINE_RTOL * max(1.0, inv_p):
+        verdict = "Irregular" if p > 2 else "Regular" if p == 2 else "Unknown"
     else:
-        if borderline:
-            verdict = "Unknown"
-        elif q > inv_p:
-            verdict = "Regular"
-        else:
-            verdict = "Irregular"
+        verdict = "Regular" if q > inv_p else "Irregular"
 
     trace = trend = None
     meta = {"p": p, "q": q, "n": n, "K": K, "q_threshold": inv_p,
             "K_irrelevant": p != 2}
     if with_probe:
-        probe = probe_origin(profile, p, n, ladder=ladder)
-        trace, trend = probe["trace"], probe["trend"]
-        meta["probe"] = {"endpoints": probe["endpoints"], "rungs": probe["rungs"],
-                         "thresholds": probe["thresholds"]}
-        if "error" in probe:
-            meta["probe"]["error"] = probe["error"]
+        probe = probe_origin(profile, p, n)
+        trace, trend = probe.pop("trace"), probe.pop("trend")
+        meta["probe"] = probe
         if verdict == "Unknown":
             # the borderline case is open; the probe may not decide it
-            trend = "inconclusive"
-            meta["probe"]["borderline_policy"] = (
+            probe["borderline_policy"] = (
                 "q = 1/p with p < 2 is reported inconclusive by policy; "
                 "the raw trend is kept in meta"
             )
-            meta["probe"]["raw_trend"] = probe["trend"]
+            probe["raw_trend"], trend = trend, "inconclusive"
     return RegularityVerdict(
         theorem_verdict=verdict, numeric_trace=trace, numeric_trend=trend,
         meta=meta,

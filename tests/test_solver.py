@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from petrocheck.calculus import barenblatt_function
 from petrocheck.domains import make_profile, profile_from_samples
@@ -322,13 +325,18 @@ class TestSolverStats:
 
 
 class TestNewtonSystem:
-    @pytest.mark.parametrize("t_new, widening", [(-0.29, True), (-0.01, False)])
-    def test_solve_inverts_the_residual_derivative(self, t_new, widening):
+    # ids of the (3, 2) cases are the time level alone
+    @pytest.mark.parametrize("p, n, t_new, widening", [
+        pytest.param(p, n, t_new, widening,
+                     id=f"{t_new}-{widening}" + ("" if (p, n) == (3.0, 2) else f"-p{p}-n{n}"))
+        for p in (1.5, 3.0) for n in (1, 2) for t_new, widening in ((-0.29, True), (-0.01, False))
+    ])
+    def test_solve_inverts_the_residual_derivative(self, p, n, t_new, widening):
         # the double-log width widens near t0 = -0.3 and shrinks near 0, so
         # the two levels upwind to opposite neighbours; on both, J x = rhs
         # for the x that solve returns, with J the central difference of G
         prof = make_profile("petrovskii_loglog", K=1.0, t0=-0.3)
-        st = _Stepper(prof, 3.0, 2, SolverConfig(n_y=17))
+        st = _Stepper(prof, p, n, SolverConfig(n_y=17))
         c = st.coefficients(t_new, 1e-3)
         assert c.up == widening
         vold = smooth_data(st.y, t_new)
@@ -357,7 +365,7 @@ class TestNonFinite:
         c = st.coefficients(-0.5, 0.01)
         zero = np.zeros_like(c.A)
         # first row becomes [0, 1, 0, ...] with nothing below it to pivot on
-        c = c._replace(axis_jac=-st.axis_h, jac_minus=zero, A=zero)
+        c = c._replace(w0=-st.h, wm=zero, A=zero)
         d = np.zeros(8)
         d[0] = 1.0
         with pytest.raises(SolverError, match="singular") as err:
@@ -374,22 +382,59 @@ class TestNonFinite:
         assert err.value.step == 4
 
 
+def short_ladder(monkeypatch, rungs):
+    """Make rungs the probe's ladder."""
+    monkeypatch.setattr(solver_mod, "_default_ladder", lambda t0: rungs)
+
+
 class TestProbe:
-    def test_coarse_ladder_is_inconclusive(self, power_profile):
-        out = probe_origin(power_profile, 3.0, 1, ladder=[
-            {"eps_min": 1e-1, "n_y": 17, "n_t": 30},
-        ])
+    def test_coarse_ladder_is_inconclusive(self, power_profile, monkeypatch):
+        short_ladder(monkeypatch, [{"eps_min": 1e-1, "n_y": 17, "n_t": 30}])
+        out = probe_origin(power_profile, 3.0, 1)
         assert out["trend"] == "inconclusive"
 
-    def test_thresholds_reported(self, power_profile):
-        out = probe_origin(power_profile, 3.0, 1, ladder=[
-            {"eps_min": 1e-1, "n_y": 17, "n_t": 30},
-        ])
+    def test_thresholds_reported(self, power_profile, monkeypatch):
+        short_ladder(monkeypatch, [{"eps_min": 1e-1, "n_y": 17, "n_t": 30}])
+        out = probe_origin(power_profile, 3.0, 1)
         assert out["thresholds"]["attains_endpoint"] == 0.1
         assert out["thresholds"]["gap_floor"] == 0.2
 
 
+def paper_table(p, q):
+    """The regularity table for the power cusp, stated by range of p; q
+    counts as 1/p within the classifier's declared tolerance."""
+    inv_p = 1.0 / p
+    on_threshold = math.isclose(q, inv_p, rel_tol=0.0,
+                                abs_tol=solver_mod._BORDERLINE_RTOL * max(1.0, inv_p))
+    if p > 2:
+        return "Regular" if q > inv_p and not on_threshold else "Irregular"
+    if p == 2:
+        return "Regular" if q >= 0.5 or on_threshold else "Irregular"
+    if on_threshold:
+        return "Unknown"
+    return "Regular" if q > inv_p else "Irregular"
+
+
+@st.composite
+def table_cells(draw):
+    """(p, q) with q anywhere, or within a few tolerances of 1/p."""
+    p = draw(st.one_of(st.just(2.0), st.floats(1.05, 8.0)))
+    inv_p = 1.0 / p
+    q = draw(st.one_of(
+        st.floats(0.01, 3.0),
+        st.floats(-3e-12, 3e-12).map(lambda d: inv_p + d),
+        st.sampled_from([inv_p, np.nextafter(inv_p, 0.0), np.nextafter(inv_p, 1.0)]),
+    ))
+    return p, float(q)
+
+
 class TestClassify:
+    @given(cell=table_cells(), n=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_is_the_paper_table(self, cell, n):
+        p, q = cell
+        assert classify(p, q, n).theorem_verdict == paper_table(p, q)
+
     def test_table(self):
         cases = [
             (3.0, 0.2, "Irregular"), (3.0, 1.0 / 3.0, "Irregular"), (3.0, 0.5, "Regular"),
@@ -437,22 +482,16 @@ class TestClassify:
         assert v.meta["probe"]["error"] == "nonlinear solve stalled at step 3"
         assert v.to_dict()["meta"]["probe"]["error"] == "nonlinear solve stalled at step 3"
 
-    @pytest.mark.parametrize("rung", [{"eps_min": 1e-1, "n_y": 2, "n_t": 30},
-                                      {"eps_min": 2.0, "n_y": 17, "n_t": 30}])
-    def test_malformed_ladder_raises_domain_error(self, rung):
-        with pytest.raises(DomainError):
-            classify(3.0, 0.6, with_probe=True, ladder=[rung])
-
     def test_verdict_dict(self):
         v = classify(3.0, 0.34)
         d = v.to_dict()
         assert d["theorem_verdict"] == "Regular"
         assert d["numeric_trend"] is None
 
-    def test_borderline_probe_is_inconclusive_by_policy(self):
-        ladder = [{"eps_min": 1e-1, "n_y": 17, "n_t": 30},
-                  {"eps_min": 3e-2, "n_y": 17, "n_t": 40}]
-        v = classify(1.5, 1.0 / 1.5, with_probe=True, ladder=ladder)
+    def test_borderline_probe_is_inconclusive_by_policy(self, monkeypatch):
+        short_ladder(monkeypatch, [{"eps_min": 1e-1, "n_y": 17, "n_t": 30},
+                                   {"eps_min": 3e-2, "n_y": 17, "n_t": 40}])
+        v = classify(1.5, 1.0 / 1.5, with_probe=True)
         assert v.theorem_verdict == "Unknown"
         assert v.numeric_trend == "inconclusive"
         assert "borderline_policy" in v.meta["probe"]

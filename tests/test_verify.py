@@ -80,6 +80,20 @@ class TestCheckSign:
         assert rep.passed
         assert (rep.grid["n_t"], rep.grid["n_y"], rep.grid["points"]) == (128, 128, 128 * 128)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("degenerate_irregularity", dict(p=3.0, n=1, C=0.02)),
+        ("singular_irregularity", dict(p=1.5, n=1, q=0.5)),
+        ("degenerate_small_data", dict(p=3.0, n=1, q=0.3, beta=0.5)),
+    ])
+    def test_field_without_closed_forms_is_rejected(self, kind, params):
+        # values alone: a certificate must not fall back to finite
+        # differences, which step past t = 0 and report spurious violations
+        spec = make_barrier(kind, **params)
+        prof = spec.reference_profile()
+        bare = SpaceTimeFunction(fn=spec.fn.fn, label=spec.fn.label)
+        with pytest.raises(DomainError, match="no closed-form derivatives"):
+            check_sign(bare, prof, params["p"], params["n"], grid=make_cert_grid(prof, 64, 64))
+
     def test_points_outside_the_cusp_are_skipped(self, singular_case):
         spec, prof = singular_case
         grid = make_cert_grid(prof, 16, 16)
