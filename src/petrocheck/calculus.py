@@ -17,15 +17,18 @@ u(r, t) is written once with numpy operators and the helpers `where`,
 `minimum` and `lift`; applied to arrays it gives the values, applied to the
 forward-mode `Jet` variables of r and t it gives u_t, u_r and u_rr in one
 pass (Griewank & Walther, Evaluating Derivatives, 2nd ed.).
-`SpaceTimeFunction.from_formula` builds a field from such a formula.
+`SpaceTimeFunction.from_formula` builds a field from such a formula, and
+runs it a block of rows at a time on every CPU the process may use.
 Everything here is pure and reentrant; functions accept numpy arrays.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -233,40 +236,91 @@ def _unwrap(out):
     return out if out.ndim else float(out)
 
 
+_BLOCK = 1 << 15        # points per block of rows
+
+
+def _axes(x, ndim):
+    """x with leading axes added up to ndim, and each zero-stride (only
+    broadcast) axis cut to length 1."""
+    return x[(None,) * (ndim - x.ndim)
+             + tuple(slice(None) if step else slice(0, 1) for step in x.strides)]
+
+
+@cache
+def _pool():
+    """Block workers, one per CPU this process may run on, made on first
+    use; None on a single CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(cpus, thread_name_prefix="petrocheck-block") if cpus > 1 else None
+
+
+if hasattr(os, "register_at_fork"):     # a forked child has none of the workers' threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_blocks(block, r, t, count):
+    """count arrays of the broadcast shape of (r, t), filled a block of rows
+    at a time from block(r_rows, t_rows), which returns count values that
+    broadcast to those rows.
+
+    An operand enters block without the axes it was only broadcast along:
+    on a certificate grid t stays the column (n_t, 1) against r of shape
+    (n_t, n_y), so every t-only factor is computed once per time level.  A
+    block holds at most _BLOCK points, which bounds the memory held by its
+    intermediates.  The blocks run on the CPUs this process may use, each
+    under a copy of the caller's context, so the caller's np.errstate holds
+    in them; a single block, or a single CPU, runs inline.  Each block
+    writes only its own rows, so for an elementwise block neither the split
+    nor the scheduling changes a value.  Every block ends before an error
+    raised in one reaches the caller, and of several errors the first
+    block's is raised.
+    """
+    r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    shape = np.broadcast(r, t).shape
+    r, t = _axes(r, len(shape) or 1), _axes(t, len(shape) or 1)
+    out = np.empty((count,) + (shape or (1,)))
+    rows = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    starts = range(0, out.shape[1], rows)
+
+    def fill(i):
+        part = slice(i, i + rows)
+        for o, value in zip(out, block(r if len(r) == 1 else r[part],
+                                       t if len(t) == 1 else t[part])):
+            o[part] = value
+
+    pool = _pool() if len(starts) > 1 else None
+    if pool is None:
+        for i in starts:
+            fill(i)
+    else:
+        futures = [pool.submit(contextvars.copy_context().run, fill, i) for i in starts]
+        for f in futures:
+            f.exception()           # wait for every block
+        for f in futures:
+            f.result()
+    return tuple(out) if shape else tuple(map(float, out[:, 0]))
+
+
+def _formula_jet(formula, r, t):
+    jet = _jet(formula(Jet(r, 0.0, 1.0), Jet(t, 1.0)))
+    return jet.t, jet.r, jet.rr
+
+
 def _evaluate(formula, r, t):
-    return _unwrap(np.asarray(formula(np.asarray(r, dtype=float), np.asarray(t, dtype=float))))
-
-
-_JET_BLOCK = 1 << 16     # points per jet pass over a block of rows
-
-
-def _axes(x):
-    """x with each zero-stride (only broadcast) axis cut to length 1."""
-    return x[tuple(slice(None) if step else slice(0, 1) for step in x.strides)]
+    return _run_blocks(lambda rb, tb: (formula(rb, tb),), r, t, 1)[0]
 
 
 def _jet_pass(formula, r, t):
     """(u_t, u_r, u_rr) of a formula at (r, t), each of the broadcast shape.
 
-    An operand enters the formula without the axes it was only broadcast
-    along: on a certificate grid t stays the column (n_t, 1) against r of
-    shape (n_t, n_y), so every t-only factor, with its t-derivative, is
-    computed once per time level and only the r-dependent terms run on the
-    full block; broadcasting fills the rows of the result.  Large inputs go
-    through the formula a block of rows at a time, which bounds the memory
-    held by the jet's intermediates.  Every operation is elementwise, so
-    neither the blocks nor the kept axes change a value.
+    The formula runs on the jets of each block of `_run_blocks`, so a t-only
+    factor and its t-derivative are computed once per time level and only
+    the r-dependent terms run on the full block.  Every jet operation is
+    elementwise, so neither the blocks nor the kept axes change a value.
     """
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    shape = r.shape
-    r, t = (_axes(x) for x in np.atleast_1d(r, t))
-    out = np.empty((3,) + (shape or (1,)))
-    rows = max(1, _JET_BLOCK // max(1, math.prod(shape[1:])))
-    for i in range(0, out.shape[1], rows):
-        rb, tb = (x if len(x) == 1 else x[i:i + rows] for x in (r, t))
-        jet = _jet(formula(Jet(rb, 0.0, 1.0), Jet(tb, 1.0)))
-        out[0, i:i + rows], out[1, i:i + rows], out[2, i:i + rows] = jet.t, jet.r, jet.rr
-    return tuple(_unwrap(d.reshape(shape)) for d in out)
+    return _run_blocks(partial(_formula_jet, formula), r, t, 3)
 
 
 def _jet_component(formula, index, r, t):
@@ -295,7 +349,9 @@ class SpaceTimeFunction:
     @classmethod
     def from_formula(cls, formula: Callable, label: str = "",
                      in_domain: Optional[Callable] = None) -> "SpaceTimeFunction":
-        """The field u = formula(r, t): values from arrays, derivatives from jets."""
+        """The field u = formula(r, t): values from arrays, derivatives from
+        jets, both a block at a time by `_run_blocks`; the formula must be
+        elementwise in (r, t)."""
         return cls(fn=partial(_evaluate, formula),
                    dt=partial(_jet_component, formula, 0),
                    dr=partial(_jet_component, formula, 1),
@@ -437,6 +493,17 @@ def barenblatt_function(p: float, n: int, C: float) -> SpaceTimeFunction:
         in_domain=lambda r, t: np.asarray(t) > 0)
 
 
+def _closed_residual(ut, ur, urr, r, p, n):
+    """u_t - Lap_p u from u_t, u_r and u_rr at radius r, by the
+    non-conservative form; where u_r = u_rr = 0 the field is locally
+    constant and Lap_p u = 0."""
+    flat = (ur == 0.0) & (urr == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = np.where(flat, 0.0, np.abs(ur) ** (p - 2.0))
+        lap = (p - 1.0) * grad * urr + (n - 1.0) / r * grad * ur
+    return ut - np.where(flat, 0.0, lap)
+
+
 def residual(
     u: SpaceTimeFunction,
     p: float,
@@ -449,8 +516,11 @@ def residual(
     """Pointwise residual du/dt - Lap_p u of a smooth radial field.
 
     A nonnegative value indicates supersolution behavior at the point.
-    method="closed" uses the attached derivatives (one jet pass for a field
-    built from a formula; vectorized and exact up to roundoff);
+    method="closed" uses the attached derivatives, exact up to roundoff.
+    For a field built from a formula each block of `_run_blocks` forms the
+    residual from its own jet, so no full-size derivative array is made and
+    the blocks run on every CPU the process may use; a hand-built field's
+    dt, dr and drr are evaluated whole.  Both go through `_closed_residual`.
     method="fd" uses central differences for du/dt and the
     conservative oracle for Lap_p, both Richardson-extrapolated from the
     steps h and h/2.  A field without closed forms raises DomainError
@@ -461,15 +531,14 @@ def residual(
     if method == "closed":
         if not u.has_closed_derivatives:
             raise DomainError(f"{u.label!r} has no closed-form derivatives")
+        if u.formula is not None:
+            def block(rb, tb):
+                return (_closed_residual(*_formula_jet(u.formula, rb, tb), rb, p, n),)
+            return _run_blocks(block, r, t, 1)[0]
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
-        ut, ur, urr = (np.asarray(d, dtype=float) for d in u.derivatives(r, t))
-        flat = (ur == 0.0) & (urr == 0.0)  # locally constant branch: Lap_p = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = np.where(flat, 0.0, np.abs(ur) ** (p - 2.0))
-            lap = (p - 1.0) * grad * urr + (n - 1.0) / r * grad * ur
-        lap = np.where(flat, 0.0, lap)
-        return _unwrap(ut - lap)
+        derivatives = (np.asarray(d, dtype=float) for d in u.derivatives(r, t))
+        return _unwrap(_closed_residual(*derivatives, r, p, n))
     if method == "fd":
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)

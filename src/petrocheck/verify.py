@@ -7,9 +7,13 @@ its location.  They never claim a proof; limits (decay at the tip, growth at
 the far boundary) are checked along finitely many declared approach
 sequences.  The barrier-family certificate evaluates each member once per
 sample set (grid, decay rays, boundary samples) and reduces with numpy, so
-a NaN anywhere fails the condition it enters.  Identical inputs produce
-bit-identical reports: grids are deterministic, reductions are
-index-ordered, and the JSON form is canonically sorted with
+a NaN anywhere fails the condition it enters.  A formula field's values and
+residuals on a large grid are computed a block of rows at a time on every
+CPU the process may use (`calculus._run_blocks`), each block writing only
+its own rows; every reduction is made here, on the whole array, after all
+blocks end.  Identical inputs therefore produce bit-identical reports,
+whatever the number of CPUs or the scheduling: grids are deterministic,
+reductions are index-ordered, and the JSON form is canonically sorted with
 17-significant-digit floats; the report hash excludes the timestamp field.
 """
 
@@ -170,18 +174,21 @@ def check_sign(
         raise DomainError("empty certification grid")
     R, T = grid.meshes(profile)
     inside = profile.contains(R, T)
-    if not np.all(inside):
+    everywhere = bool(np.all(inside))
+    if not everywhere:
         R = np.where(inside, R, np.nan)
     res = np.asarray(residual(u, p, n, R, T), dtype=float)
-    res = np.where(inside, res, np.nan)
+    if not everywhere:
+        res = np.where(inside, res, np.nan)
     flat = res.reshape(-1)
     valid = np.isfinite(flat)
-    if not np.any(valid):
+    points = int(np.count_nonzero(valid))
+    if points == 0:
         raise DomainError("no valid grid points inside the domain")
     # a non-finite residual inside the domain fails the certificate; only
     # points outside the domain are skipped
     non_finite = np.flatnonzero(inside.reshape(-1) & ~valid)
-    idx = int(np.nanargmin(flat))
+    idx = int(np.argmin(flat) if points == flat.size else np.nanargmin(flat))
     worst = float(flat[idx])
     passed = worst >= -SIGN_TOL
     T = np.broadcast_to(T, R.shape)
@@ -196,7 +203,7 @@ def check_sign(
     return CertificateReport(
         subject=u.label,
         condition="residual >=0",
-        grid=grid.describe() | {"hash": grid.hash(), "points": int(valid.sum())},
+        grid=grid.describe() | {"hash": grid.hash(), "points": points},
         worst_violation=worst,
         worst_location=loc,
         passed=bool(passed),

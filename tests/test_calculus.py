@@ -1,9 +1,12 @@
 import math
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from petrocheck import calculus
 from petrocheck.calculus import (
     Params,
     SpaceTimeFunction,
@@ -278,3 +281,55 @@ class TestJet:
         assert ur.shape == urr.shape == (4,)
         assert not ur.any() and not urr.any()
         assert residual(u, 3.0, 2, 0.5, -0.25) == -1.0
+
+
+class TestBlocks:
+    """Formula fields run a block of rows at a time on a worker pool; the
+    caller's context, warnings and errors must cross it unchanged."""
+
+    R, T = np.meshgrid(np.linspace(0.1, 1.0, 40), np.linspace(-1.0, -0.1, 50))
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(calculus, "_BLOCK", 400)       # 5 blocks of 10 rows
+
+    def test_caller_errstate_holds_in_every_block(self):
+        u = SpaceTimeFunction.from_formula(lambda r, t: (r * 1e200) * (r * 1e200) - t)
+        with np.errstate(over="ignore"):
+            assert np.isinf(u.fn(self.R, self.T)).all()
+            assert np.isinf(u.dr(self.R, self.T)).all()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            u.fn(self.R, self.T)
+
+    def test_error_in_a_block_reaches_the_caller_unchanged(self):
+        error = DomainError("no value past r = 0.5")
+
+        def formula(r, t):
+            if np.any(r > 0.5):
+                raise error
+            return r - t
+
+        u = SpaceTimeFunction.from_formula(formula)
+        with pytest.raises(DomainError) as raised:
+            u.fn(self.R, self.T)
+        assert raised.value is error
+        with pytest.raises(DomainError) as raised:
+            residual(u, 3.0, 2, self.R, self.T)
+        assert raised.value is error
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_gets_its_own_workers(self):
+        u = SpaceTimeFunction.from_formula(lambda r, t: r * r - t)
+        expected = u.fn(self.R, self.T)            # the pool's threads now run
+
+        def child():
+            sys.exit(0 if np.array_equal(u.fn(self.R, self.T), expected) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        hung = proc.is_alive()
+        if hung:
+            proc.kill()
+            proc.join()
+        assert not hung and proc.exitcode == 0

@@ -6,7 +6,7 @@ import pytest
 
 from petrocheck import calculus
 from petrocheck.barriers import BARRIER_KINDS, find_family_threshold, make_barrier
-from petrocheck.calculus import Params, SpaceTimeFunction, barenblatt_function
+from petrocheck.calculus import Params, SpaceTimeFunction, barenblatt_function, residual
 from petrocheck.domains import envelope_gauge, make_profile
 from petrocheck.errors import DomainError
 from petrocheck.solver import SolverConfig
@@ -137,25 +137,31 @@ class TestCheckSign:
 
 
 class TestAxisEvaluation:
-    """Certificate grids keep t as a column; the values and derivatives must
-    be those of the fully materialized mesh, bit for bit."""
+    """Certificate grids keep t as a column, and formula fields run a block
+    of rows at a time on every CPU; the values, derivatives and residuals
+    must be those of the fully materialized mesh run whole, bit for bit."""
 
-    @pytest.mark.parametrize("kind", BARRIER_KINDS + ("barenblatt",))
-    def test_column_matches_full_mesh(self, kind, family_setup, monkeypatch):
-        # a small jet block makes the pass run several row blocks
-        monkeypatch.setattr(calculus, "_JET_BLOCK", 100)
-        kw = {"singular_irregularity": dict(p=1.5, n=2, q=0.25),
-              "singular_traditional": dict(p=1.5, n=1, q=0.5),
-              "degenerate_irregularity": dict(p=3.0, n=2, C=0.01),
-              "degenerate_small_data": dict(p=3.0, n=1, q=0.3, beta=0.5)}
+    KW = {"singular_irregularity": dict(p=1.5, n=2, q=0.25),
+          "singular_traditional": dict(p=1.5, n=1, q=0.5),
+          "degenerate_irregularity": dict(p=3.0, n=2, C=0.01),
+          "degenerate_small_data": dict(p=3.0, n=1, q=0.3, beta=0.5)}
+
+    def field(self, kind, family_setup):
+        """(u, p, n, R, T) on a 23 x 17 grid of the family cusp."""
         prof = family_setup[0]
         R, T = make_cert_grid(prof, n_t=23, n_y=17).meshes(prof)
         if kind == "barenblatt":
-            u, T = barenblatt_function(3.0, 2, 1.0), T + 2.0
-        elif kind == "degenerate_family_member":
-            u = family_setup[3][0].fn
-        else:
-            u = make_barrier(kind, **kw[kind]).fn
+            return barenblatt_function(3.0, 2, 1.0), 3.0, 2, R, T + 2.0
+        if kind == "degenerate_family_member":
+            return family_setup[3][0].fn, 3.0, 1, R, T
+        kw = self.KW[kind]
+        return make_barrier(kind, **kw).fn, kw["p"], kw["n"], R, T
+
+    @pytest.mark.parametrize("kind", BARRIER_KINDS + ("barenblatt",))
+    def test_column_matches_full_mesh(self, kind, family_setup, monkeypatch):
+        # a small block makes the pass run several row blocks
+        monkeypatch.setattr(calculus, "_BLOCK", 100)
+        u, _, _, R, T = self.field(kind, family_setup)
         assert T.shape == (23, 1) and R.shape == (23, 17)
         T_full = np.broadcast_to(T, R.shape).copy()
         for r, t, r_full in ((R, T, R), (R[0], T, np.broadcast_to(R[0], R.shape).copy())):
@@ -163,6 +169,22 @@ class TestAxisEvaluation:
             for axis, full in zip(u.derivatives(r, t), u.derivatives(r_full, T_full)):
                 assert axis.shape == R.shape
                 np.testing.assert_array_equal(axis, full)
+
+    @pytest.mark.parametrize("kind", BARRIER_KINDS + ("barenblatt",))
+    def test_split_and_scheduling_change_no_value(self, kind, family_setup, monkeypatch):
+        u, p, n, R, T = self.field(kind, family_setup)
+
+        def evaluate():
+            return (u(R, T), residual(u, p, n, R, T), *u.derivatives(R, T))
+
+        whole = evaluate()                               # one block, inline
+        monkeypatch.setattr(calculus, "_BLOCK", 40)      # 12 blocks of 2 rows, the last of 1
+        pooled = evaluate()
+        monkeypatch.setattr(calculus, "_pool", lambda: None)
+        inline = evaluate()                              # the same blocks in turn
+        for a, b, c in zip(whole, pooled, inline):
+            assert a.shape == R.shape
+            assert np.array_equal(a, b, equal_nan=True) and np.array_equal(a, c, equal_nan=True)
 
     def test_gauge_is_evaluated_once_per_time_level(self, family_setup):
         prof, gauge, C0, _ = family_setup
@@ -203,6 +225,19 @@ class TestBarrierFamily:
         js = [jk[str(k)] for k in range(1, 5)]
         assert all(a <= b for a, b in zip(js, js[1:]))   # j(k) nondecreasing
         assert rep.details["theta"] > 0
+
+    def test_report_does_not_depend_on_the_blocks(self, family_setup, monkeypatch):
+        prof, _, _, ladder = family_setup
+        grid = make_cert_grid(prof, 64, 64)
+
+        def report_hash():
+            return check_barrier_family(ladder, prof, 3.0, 1, grid=grid).to_dict()["report_hash"]
+
+        whole = report_hash()
+        monkeypatch.setattr(calculus, "_BLOCK", 500)     # 9 blocks of 7 rows, then 1
+        assert report_hash() == report_hash() == whole
+        monkeypatch.setattr(calculus, "_pool", lambda: None)
+        assert report_hash() == whole
 
     def test_short_ladder_inconclusive_not_fail(self, family_setup):
         prof, gauge, C0, _ = family_setup
