@@ -88,11 +88,6 @@ class Params:
         return self.n * (self.p - 2.0) / self.lam
 
     @property
-    def gamma(self) -> float:
-        """beta/(p-1) < beta; exponent in the vanishing-gauge criterion."""
-        return self.beta / (self.p - 1.0)
-
-    @property
     def pp(self) -> float:
         """p/(p-1), the exponent of chi."""
         return self.p / (self.p - 1.0)

@@ -82,15 +82,6 @@ class DomainProfile:
     K: Optional[float] = None
     q: Optional[float] = None
 
-    def contains(self, r, t):
-        """Membership test (r, t) in Theta; t = 0 and t = t0 are outside."""
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        ok_t = (t > self.t0) & (t < 0.0)
-        width = np.where(ok_t, self.zeta(np.where(ok_t, t, self.t0 / 2.0)), 0.0)
-        out = ok_t & (r < width)
-        return out if out.ndim else bool(out)
-
 
 def make_profile(kind: str, K: float, q: Optional[float] = None, t0: float = -1.0) -> DomainProfile:
     """Build a width profile.
@@ -195,13 +186,11 @@ class Gauge:
     (-t)^(-beta) delta(t) is nondecreasing (verified on the stored samples).
     power is (amp, exp) when delta = amp (-t)^exp in closed form, else None.
     profile is the cusp the gauge was built from (None for an envelope of
-    bare samples).  The sampled values below are derived from delta on
-    t_samples.
+    bare samples).
     """
 
     delta: Callable
     beta: float
-    gamma: Optional[float]
     t0: float
     ddelta: Optional[Callable]
     monotone_flag: bool
@@ -210,29 +199,14 @@ class Gauge:
     profile: Optional[DomainProfile] = None
 
     @cached_property
-    def delta_samples(self) -> np.ndarray:
-        return self.delta(self.t_samples)
-
-    @cached_property
     def theta(self) -> float:
         """Sampled minimum of (-t)^(-beta) delta(t) over t0/2 < t < 0 (over
         all samples if none lies there), the positive floor used by the
         barrier-family growth estimate."""
         ts = self.t_samples
-        w = (-ts) ** (-self.beta) * self.delta_samples
+        w = self.weighted(ts)
         half = ts > self.t0 / 2.0
         return float(np.min(w[half] if np.any(half) else w))
-
-    @cached_property
-    def vanishes(self) -> Optional[bool]:
-        """Sampled verdict on (-t)^(-gamma) delta(t) -> 0, the criterion
-        equivalent to (-t)^(-1/p) zeta(t) -> 0; None without gamma."""
-        if self.gamma is None:
-            return None
-        vals = (-self.t_samples) ** (-self.gamma) * self.delta_samples
-        tail = vals[-max(8, vals.size // 8):]
-        dec = np.all(np.diff(tail) <= 1e-12 * np.maximum(1.0, np.abs(tail[:-1])))
-        return bool(dec and tail[-1] < 0.05 * max(vals[0], 1e-300))
 
     def weighted(self, t):
         return (-np.asarray(t, dtype=float)) ** (-self.beta) * self.delta(t)
@@ -269,7 +243,7 @@ def gauge_of(profile: DomainProfile, p: float, n: int) -> Gauge:
         w = (-ts) ** (-beta) * delta(ts)
         monotone = bool(np.all(np.diff(w) >= -1e-12 * np.maximum(1.0, w[:-1])))
 
-    return Gauge(delta=delta, beta=beta, gamma=pars.gamma, t0=profile.t0, ddelta=ddelta,
+    return Gauge(delta=delta, beta=beta, t0=profile.t0, ddelta=ddelta,
                  monotone_flag=monotone, t_samples=ts, power=power, profile=profile)
 
 
@@ -295,8 +269,7 @@ def monotone_smooth_envelope(t_samples, delta_tilde, beta: float) -> Gauge:
     margin, and (-t)^(-beta) delta_hat = exp(G_hat(s)) is nondecreasing in t
     because the interpolant preserves the slope sign.  Outside the sampled
     range G_hat is continued as a constant, which keeps monotonicity and the
-    vanishing behavior (-t)^(-gamma) delta_hat -> 0 when beta > gamma.  The
-    envelope does not know p, so its gamma (and vanishes) is None.
+    vanishing behavior (-t)^(-g) delta_hat -> 0 for every g < beta.
     """
     t_samples = np.asarray(t_samples, dtype=float)
     dt_ = np.asarray(delta_tilde, dtype=float)
@@ -348,7 +321,7 @@ def monotone_smooth_envelope(t_samples, delta_tilde, beta: float) -> Gauge:
         return val if val.ndim else float(val)
 
     return Gauge(
-        delta=delta, beta=beta, gamma=None, t0=float(t_samples[0]), ddelta=ddelta,
+        delta=delta, beta=beta, t0=float(t_samples[0]), ddelta=ddelta,
         monotone_flag=True, t_samples=t_samples,
     )
 
@@ -375,7 +348,7 @@ def envelope_gauge(profile: DomainProfile, p: float, n: int) -> Gauge:
         delta_tilde = (-ts) ** beta * running_sup(raw.weighted(ts))
         env = monotone_smooth_envelope(ts, delta_tilde, beta)
         delta, ddelta, power = env.delta, env.ddelta, None
-    return Gauge(delta=delta, beta=beta, gamma=raw.gamma, t0=profile.t0, ddelta=ddelta,
+    return Gauge(delta=delta, beta=beta, t0=profile.t0, ddelta=ddelta,
                  monotone_flag=True, t_samples=ts, power=power, profile=profile)
 
 

@@ -2,11 +2,13 @@
 
 Certificates are FINITE-SAMPLE: they evaluate pointwise inequalities on
 declared tensor grids (geometric time levels x uniform relative-radius
-levels strictly inside the cusp) and record the worst signed violation with
-its location.  They never claim a proof; limits (decay at the tip, growth at
-the far boundary) are checked along finitely many declared approach
-sequences.  The barrier-family certificate evaluates each member once per
-sample set (grid, decay rays, boundary samples) and reduces with numpy, so
+levels, every point inside the cusp) and record the worst signed violation
+with its location.  They never claim a proof; limits (decay at the tip,
+growth at the far boundary) are checked along finitely many declared
+approach sequences.  Each certificate builds its grid's meshes once.  On the
+grid the barrier-family certificate takes each member's residual from one
+jet pass and its values from one evaluation; on the decay rays and on the
+boundary samples it evaluates each member once.  It reduces with numpy, so
 a NaN anywhere fails the condition it enters.  A formula field's values and
 residuals on a large grid are computed a block of rows at a time on every
 CPU the process may use (`calculus._run_blocks`), each block writing only
@@ -88,12 +90,15 @@ def stamp(payload: dict, with_timestamp: bool = False) -> dict:
 
 @dataclass(frozen=True)
 class CertGrid:
-    """Tensor sample grid strictly inside a cusp domain.
+    """Tensor sample grid inside a cusp domain.
 
-    n_t geometric time levels t_k spanning (t0, 0) down to 1e-6*|t0|,
-    n_y uniform relative radii at cell midpoints y_i = (i - 1/2)/n_y in (0, 1)
-    (the y = 0 axis row is excluded; radial formulas are singular there and
-    axis behavior is certified separately through the symmetry limit).
+    n_t time levels t_k in (t0, 0) and n_y relative radii y_i in (0, 1); a
+    grid point is (r, t) = (y zeta(t), t).  make_cert_grid spaces the time
+    levels geometrically from t0 down to 1e-6*|t0| and puts the radii at
+    the cell midpoints (i - 1/2)/n_y (the y = 0 axis row is excluded;
+    radial formulas are singular there and axis behavior is certified
+    separately through the symmetry limit).  Every point of the grid is
+    inside the cusp, so a certificate evaluates every point and skips none.
     """
 
     t_levels: np.ndarray
@@ -101,10 +106,17 @@ class CertGrid:
 
     def meshes(self, profile: DomainProfile):
         """(R, T): R = y * zeta(t) of shape (n_t, n_y), and T the column
-        (n_t, 1) of time levels, left unexpanded so that zeta, membership and
-        every t-only factor of a formula are evaluated once per time level."""
-        T = self.t_levels[:, None]
-        return self.y_levels * profile.zeta(T), T
+        (n_t, 1) of time levels, left unexpanded so that zeta and every
+        t-only factor of a formula are evaluated once per time level.  An
+        empty grid, or one with a point outside the open cusp, raises
+        DomainError."""
+        t, y = self.t_levels, self.y_levels
+        if not (t.size and y.size and np.all((0.0 < y) & (y < 1.0))
+                and np.all((profile.t0 < t) & (t < 0.0))):
+            raise DomainError("a certification grid needs points, all inside the open cusp: "
+                              f"0 < y < 1 and {profile.t0} < t < 0")
+        T = t[:, None]
+        return y * profile.zeta(T), T
 
     def describe(self) -> dict:
         return {
@@ -156,6 +168,34 @@ class CertificateReport:
         })
 
 
+def _location(R, T, index):
+    """(r, t) of the grid point at a flat index of an (n_t, n_y) mesh."""
+    i, j = np.unravel_index(index, R.shape)
+    return float(R[i, j]), float(T[i, 0])
+
+
+def _residual_minimum(u: SpaceTimeFunction, p: float, n: int, R, T):
+    """(worst, index, points, details) of the residual of u on the meshes.
+
+    worst is the least finite residual and index its flat index, points
+    the count of finite residuals, and details, empty when every residual
+    is finite, the count and the location of the non-finite ones' first.
+    A residual that is non-finite everywhere raises DomainError.
+    """
+    flat = np.asarray(residual(u, p, n, R, T), dtype=float).reshape(-1)
+    finite = np.isfinite(flat)
+    points = int(np.count_nonzero(finite))
+    if points == 0:
+        raise DomainError("the residual is not finite at any grid point")
+    if points == flat.size:
+        index, details = int(np.argmin(flat)), {}
+    else:
+        index = int(np.nanargmin(flat))
+        details = {"non_finite_points": flat.size - points,
+                   "first_non_finite_location": list(_location(R, T, int(np.argmin(finite))))}
+    return float(flat[index]), index, points, details
+
+
 def check_sign(
     u: SpaceTimeFunction,
     profile: DomainProfile,
@@ -166,47 +206,22 @@ def check_sign(
     """Residual sign certificate of du/dt - Lap_p u over a cusp sample grid.
 
     Certifies supersolution behavior: worst_violation is the grid minimum of
-    the residual, and the certificate passes iff it is >= -SIGN_TOL.
+    the finite residuals, and the certificate passes iff it is >= -SIGN_TOL
+    and the residual is finite at every grid point; a non-finite residual
+    fails it, and the details count the non-finite points and locate the
+    first.
     """
     if grid is None:
         grid = make_cert_grid(profile)
-    if grid.t_levels.size == 0 or grid.y_levels.size == 0:
-        raise DomainError("empty certification grid")
     R, T = grid.meshes(profile)
-    inside = profile.contains(R, T)
-    everywhere = bool(np.all(inside))
-    if not everywhere:
-        R = np.where(inside, R, np.nan)
-    res = np.asarray(residual(u, p, n, R, T), dtype=float)
-    if not everywhere:
-        res = np.where(inside, res, np.nan)
-    flat = res.reshape(-1)
-    valid = np.isfinite(flat)
-    points = int(np.count_nonzero(valid))
-    if points == 0:
-        raise DomainError("no valid grid points inside the domain")
-    # a non-finite residual inside the domain fails the certificate; only
-    # points outside the domain are skipped
-    non_finite = np.flatnonzero(inside.reshape(-1) & ~valid)
-    idx = int(np.argmin(flat) if points == flat.size else np.nanargmin(flat))
-    worst = float(flat[idx])
-    passed = worst >= -SIGN_TOL
-    T = np.broadcast_to(T, R.shape)
-    loc = (float(R.reshape(-1)[idx]), float(T.reshape(-1)[idx]))
-    details = {}
-    if non_finite.size:
-        passed = False
-        first = non_finite[0]
-        details = {"non_finite_points": int(non_finite.size),
-                   "first_non_finite_location": [float(R.reshape(-1)[first]),
-                                                 float(T.reshape(-1)[first])]}
+    worst, index, points, details = _residual_minimum(u, p, n, R, T)
     return CertificateReport(
         subject=u.label,
         condition="residual >=0",
         grid=grid.describe() | {"hash": grid.hash(), "points": points},
         worst_violation=worst,
-        worst_location=loc,
-        passed=bool(passed),
+        worst_location=_location(R, T, index),
+        passed=worst >= -SIGN_TOL and not details,
         tolerance=SIGN_TOL,
         details=details,
     )
@@ -250,12 +265,19 @@ def check_barrier_family(
           short for some k, or a level k with no sample that far out, is
           reported inconclusive, not failed.
 
-    Besides check_sign's derivative pass, each member is evaluated once on
-    each sample set (grid, rays, boundary) and every minimum is numpy's, so
-    a NaN anywhere fails its condition.  Member continuity in the open
-    cylinder (closed formulas) is recorded as trivially satisfied; the
-    strong-family gauge condition is out of scope because its gauge
-    function is existential.
+    The grid, its meshes and kappa*chi are built once.  On the grid each
+    member's residual comes from one jet pass and is reduced as in
+    check_sign; its values come from one evaluation, reduced to the least
+    value of each time level.  The margins are then exact without a
+    full-size array per member: fl(fl(C + x) - C) rises and
+    fl(2C - fl(C + x)) falls with x, so the sandwich margins are their
+    values at the least and the greatest kappa*chi, and fl(v - l) rises
+    with v, so a time level's least lower-bound margin is its least
+    value's.  On the rays and on the boundary samples each member is
+    evaluated once.  Every minimum is numpy's, so a NaN anywhere fails its
+    condition.  Member continuity in the open cylinder (closed formulas) is
+    recorded as trivially satisfied; the strong-family gauge condition is
+    out of scope because its gauge function is existential.
     """
     if not family:
         raise DomainError("empty family")
@@ -270,32 +292,37 @@ def check_barrier_family(
     tol = SIGN_TOL
     R, T = grid.meshes(profile)
     kap_chi = pars.kap * pars.chi(R, -T)
+    kc_min, kc_max = kap_chi.min(), kap_chi.max()
     t_ray = profile.t0 * (1e-8) ** (np.arange(1, 65) / 64)
     y_ray = (np.arange(1, _N_RAYS + 1)) / (_N_RAYS + 1.0)
     r_ray = y_ray[:, None] * np.asarray(profile.zeta(t_ray), dtype=float)
+    # boundary samples farthest from the tip first: those at distance >= 1/k
+    # are then a prefix, and a running minimum holds every level's infimum
     rb, tb = _boundary_samples(profile, n_each=_N_BOUNDARY)
+    dist = np.sqrt(rb * rb + tb * tb)
+    order = np.argsort(-dist, kind="stable")
+    rb, tb, dist = rb[order], tb[order], dist[order]
 
-    member_reports, decay, reps, on_boundary = [], [], [], []
+    member_reports, decay, minima, running = [], [], [], []
     for spec in family:
         w, delta, C = spec.fn, spec.gauge.delta, spec.constants["C"]
         # (i) positivity + supersolution + sandwich + lower bound
-        rep = check_sign(w, profile, p, n, grid=grid)
-        vals = np.asarray(w(R, T), dtype=float)
-        pos_min = float(vals.min())
-        Q = C + kap_chi
-        sandwich_lo = float((Q - C).min())
-        sandwich_hi = float((2.0 * C - Q).min())
+        worst, index, _, non_finite = _residual_minimum(w, p, n, R, T)
+        level_min = np.asarray(w(R, T), dtype=float).min(axis=1)
+        pos_min = float(level_min.min())
+        sandwich_lo = float(C + kc_min - C)
+        sandwich_hi = float(2.0 * C - (C + kc_max))
         lower = pars.envelope(C, np.asarray(delta(T), dtype=float), T, scale=1.0 / p)
-        lower_margin = float((vals - lower).min())
-        ok = (rep.passed and pos_min > 0.0 and sandwich_lo >= -tol
+        lower_margin = float((level_min - lower[:, 0]).min())
+        ok = (worst >= -tol and not non_finite and pos_min > 0.0 and sandwich_lo >= -tol
               and sandwich_hi >= -tol and lower_margin >= -tol)
         member_reports.append({
-            "C": C, "residual_worst": rep.worst_violation,
+            "C": C, "residual_worst": worst,
             "positivity_min": pos_min, "sandwich_margin_low": sandwich_lo,
             "sandwich_margin_high": sandwich_hi, "lower_bound_margin": lower_margin,
             "pass": bool(ok),
         })
-        reps.append(rep)
+        minima.append((worst, index))
         # (ii) decay along the rays below the vanishing envelope rho_C
         rho = pars.envelope(C, np.asarray(delta(t_ray), dtype=float), t_ray)
         below = float(np.min(rho - np.asarray(w(r_ray, t_ray), dtype=float)))
@@ -305,19 +332,20 @@ def check_barrier_family(
                       "envelope_tail_value": float(tail[-1]),
                       "envelope_vanishing": vanishing,
                       "pass": bool(below >= -tol and vanishing)})
-        on_boundary.append(np.asarray(w(rb, tb), dtype=float))
+        running.append(np.minimum.accumulate(np.asarray(w(rb, tb), dtype=float)))
     all_pass = all(m["pass"] for m in member_reports + decay)
-    worst = min(reps, key=lambda rep: rep.worst_violation)
+    worst, index = min(minima, key=lambda m: m[0])
     details: dict = {"ladder_C": Cs, "k_max": k_max,
                      "condition_i_members": member_reports, "condition_ii_decay": decay}
 
     # (iii) growth: j(k) is the first member whose infimum over the boundary
-    # samples at distance >= 1/k is at least k
+    # samples at distance >= 1/k is at least k; a level with no such sample
+    # has no j (its gathered column, index -1, is masked out)
     levels = np.arange(1, k_max + 1)
-    far = np.sqrt(rb * rb + tb * tb) >= 1.0 / levels[:, None]             # (k_max, samples)
-    inf_far = np.where(far[:, None], np.array(on_boundary), np.inf).min(axis=2)
-    beats = inf_far >= levels[:, None]                                  # (k_max, members)
-    js = [int(np.argmax(b)) if f.any() and b.any() else None for f, b in zip(far, beats)]
+    n_far = np.searchsorted(-dist, -1.0 / levels, side="right")
+    inf_far = np.array(running)[:, n_far - 1].T                          # (k_max, members)
+    beats = (inf_far >= levels[:, None]) & (n_far > 0)[:, None]
+    js = [int(np.argmax(b)) if b.any() else None for b in beats]
     inconclusive = None in js
     details["condition_iii_j_of_k"] = {str(k): j for k, j in zip(levels, js)}
     details["condition_iii_inconclusive"] = inconclusive
@@ -333,8 +361,8 @@ def check_barrier_family(
         condition="barrier family conditions (i)-(iii)" + (" [INCONCLUSIVE]" if inconclusive else ""),
         grid=grid.describe() | {"hash": grid.hash(), "n_boundary": 2 * _N_BOUNDARY,
                                 "n_rays": _N_RAYS},
-        worst_violation=float(worst.worst_violation),
-        worst_location=worst.worst_location,
+        worst_violation=worst,
+        worst_location=_location(R, T, index),
         passed=passed,
         tolerance=tol,
         details=details,

@@ -288,7 +288,7 @@ class TestFamily:
         from petrocheck.domains import gauge_of
         raw = gauge_of(prof, 3.0, 1)       # no envelope: no ddelta for power? has ddelta
         raw_no = raw.__class__(
-            delta=raw.delta, beta=raw.beta, gamma=raw.gamma, t0=raw.t0,
+            delta=raw.delta, beta=raw.beta, t0=raw.t0,
             ddelta=None, monotone_flag=True, t_samples=raw.t_samples,
         )
         with pytest.raises(DomainError):
@@ -296,7 +296,7 @@ class TestFamily:
 
     def test_threshold_needs_a_gauge_derivative(self, flagship):
         raw = gauge_of(flagship[0], 3.0, 1)
-        no_derivative = Gauge(delta=raw.delta, beta=raw.beta, gamma=raw.gamma, t0=raw.t0,
+        no_derivative = Gauge(delta=raw.delta, beta=raw.beta, t0=raw.t0,
                               ddelta=None, monotone_flag=True, t_samples=raw.t_samples)
         with pytest.raises(DomainError, match="derivative"):
             find_family_threshold(3.0, 1, no_derivative)
@@ -318,7 +318,7 @@ class TestFamily:
         # the sandwich condition (a) never holds
         ts = geometric_times(-1.0)
         huge = Gauge(delta=lambda t: np.full_like(np.asarray(t, dtype=float), 1e30),
-                     beta=0.25, gamma=None, t0=-1.0,
+                     beta=0.25, t0=-1.0,
                      ddelta=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                      monotone_flag=True, t_samples=ts)
         with pytest.raises(DomainError, match="no admissible C"):

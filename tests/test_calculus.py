@@ -46,8 +46,6 @@ class TestParams:
         pr = Params(p=3.0, n=2)
         assert pr.lam == 5.0
         assert pr.beta == pytest.approx(2.0 / 5.0)
-        assert pr.gamma == pytest.approx(1.0 / 5.0)
-        assert pr.gamma < pr.beta
 
     def test_self_similar_exponents(self):
         pr = Params(p=3.0, n=2)

@@ -23,13 +23,6 @@ class TestProfiles:
         prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
         assert float(prof.zeta(-0.25)) == pytest.approx(0.5)
 
-    def test_membership(self):
-        prof = make_profile("power", K=2.0, q=1.0 / 3.0, t0=-1.0)
-        assert prof.contains(0.9, -0.125)          # zeta = 2 * 0.5 = 1 > 0.9
-        assert not prof.contains(1.1, -0.125)
-        assert not prof.contains(0.0, 0.0)          # t = 0 excluded
-        assert not prof.contains(0.1, -1.0)         # t = t0 excluded
-
     def test_loglog_domain_guard(self):
         with pytest.raises(DomainError):
             make_profile("petrovskii_loglog", K=1.0, t0=-1.0)
@@ -141,14 +134,14 @@ class TestGauge:
         assert float(g.delta(-1.0)) == pytest.approx(1.0)
 
     def test_gamma_limit_tracks_regularity_threshold(self):
-        # (-t)^(-gamma) delta = ((-t)^(-1/p) zeta)^(p/(p-1)) exactly
+        # (-t)^(-gamma) delta = ((-t)^(-1/p) zeta)^(p/(p-1)) exactly, with
+        # gamma = beta/(p-1)
         p, n = 3.0, 1
-        for q, vanish in [(0.6, True), (0.5, True), (1.0 / 3.0, False), (0.2, False)]:
+        for q in (0.6, 0.5, 1.0 / 3.0, 0.2):
             prof = make_profile("power", K=1.0, q=q, t0=-1.0)
             g = gauge_of(prof, p, n)
-            assert g.vanishes is vanish, (q, g.vanishes)
             ts = g.t_samples
-            lhs = (-ts) ** (-g.gamma) * g.delta(ts)
+            lhs = (-ts) ** (-g.beta / (p - 1.0)) * g.delta(ts)
             rhs = ((-ts) ** (-1.0 / p) * prof.zeta(ts)) ** (p / (p - 1.0))
             assert np.allclose(lhs, rhs, rtol=1e-12)
 
@@ -157,7 +150,7 @@ class TestGauge:
         prof = make_profile("power", K=1.0, q=0.6, t0=-1.0)
         g = gauge_of(prof, p, n)
         tk = -2.0 ** -np.arange(1, 30)
-        vals = (-tk) ** (-g.gamma) * np.asarray(g.delta(tk))
+        vals = (-tk) ** (-g.beta / (p - 1.0)) * np.asarray(g.delta(tk))
         assert np.all(np.diff(vals) < 0)
         assert vals[-1] < 1e-2 * vals[0]
 
@@ -252,7 +245,6 @@ class TestEnvelope:
         ts = np.array([-1.0, -0.9, -0.8])
         env = monotone_smooth_envelope(ts, (-ts) ** 0.3, 0.3)
         assert env.theta == np.min(env.weighted(ts))
-        assert env.vanishes is None           # the envelope alone has no gamma
 
     def test_nonmonotone_input_rejected(self):
         ts = -np.logspace(0, -2, 30)[1:]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,14 @@ def negate(u):
     )
 
 
+def grid_point(grid, prof, loc):
+    """(i, j) of the grid point at the location loc = (r, t) of a report."""
+    R, T = grid.meshes(prof)
+    (i,), = np.nonzero(T[:, 0] == loc[1])
+    (j,), = np.nonzero(R[i] == loc[0])
+    return i, j
+
+
 @pytest.fixture(scope="module")
 def singular_case():
     spec = make_barrier("singular_irregularity", p=1.5, n=2, q=0.25)
@@ -46,9 +55,8 @@ class TestCheckSign:
         rep = check_sign(spec.fn, prof, 1.5, 2, grid=grid)
         assert rep.passed
         assert rep.worst_violation >= -1e-10
-        # worst location lies inside the declared grid
-        r, t = rep.worst_location
-        assert prof.contains(r, t)
+        # worst location is a point of the declared grid
+        grid_point(grid, prof, rep.worst_location)
 
     def test_zero_function_passes_with_zero_violation(self, singular_case):
         _, prof = singular_case
@@ -60,12 +68,11 @@ class TestCheckSign:
 
     def test_negated_supersolution_fails_with_witness(self, singular_case):
         spec, prof = singular_case
-        rep = check_sign(negate(spec.fn), prof, 1.5, 2,
-                         grid=make_cert_grid(prof, 64, 64))
+        grid = make_cert_grid(prof, 64, 64)
+        rep = check_sign(negate(spec.fn), prof, 1.5, 2, grid=grid)
         assert not rep.passed
         assert rep.worst_violation < -1e-6
-        r, t = rep.worst_location
-        assert prof.contains(r, t)
+        grid_point(grid, prof, rep.worst_location)
 
     def test_empty_grid_rejected(self, singular_case):
         spec, prof = singular_case
@@ -94,20 +101,25 @@ class TestCheckSign:
         with pytest.raises(DomainError, match="no closed-form derivatives"):
             check_sign(bare, prof, params["p"], params["n"], grid=make_cert_grid(prof, 64, 64))
 
-    def test_points_outside_the_cusp_are_skipped(self, singular_case):
-        spec, prof = singular_case
-        grid = make_cert_grid(prof, 16, 16)
-        wide = CertGrid(t_levels=grid.t_levels, y_levels=np.append(grid.y_levels, [1.5, 2.0]))
-        rep = check_sign(spec.fn, prof, 1.5, 2, grid=wide)
-        assert rep.passed and rep.grid["points"] == 16 * 16
-        assert rep.details == {}
-        assert rep.worst_violation == check_sign(spec.fn, prof, 1.5, 2, grid=grid).worst_violation
+    @pytest.mark.parametrize("y, t", [(0.0, -0.5), (1.0, -0.5), (1.5, -0.5),
+                                      (0.5, -1.0), (0.5, -1.5), (0.5, 0.0), (0.5, 0.1)])
+    def test_grid_outside_the_cusp_rejected(self, family_setup, y, t):
+        # one point on the axis, on or past the lateral boundary, at t0, below
+        # t0, at the tip's time or after it: every certificate refuses the grid
+        prof, _, _, ladder = family_setup
+        assert prof.t0 == -1.0
+        grid = CertGrid(t_levels=np.array([-0.5, t]), y_levels=np.array([0.5, y]))
+        with pytest.raises(DomainError, match="open cusp"):
+            check_sign(ladder[0].fn, prof, 3.0, 1, grid=grid)
+        with pytest.raises(DomainError, match="open cusp"):
+            check_barrier_family(ladder, prof, 3.0, 1, grid=grid)
 
-    def test_grid_wholly_outside_the_cusp_rejected(self, singular_case):
-        spec, prof = singular_case
-        outside = CertGrid(t_levels=np.array([-0.5, -0.1]), y_levels=np.array([1.5, 2.0]))
-        with pytest.raises(DomainError, match="no valid grid points"):
-            check_sign(spec.fn, prof, 1.5, 2, grid=outside)
+    def test_residual_non_finite_everywhere_rejected(self, singular_case):
+        _, prof = singular_case
+        nan = lambda r, t: np.full(np.broadcast(np.asarray(r), np.asarray(t)).shape, np.nan)
+        u = SpaceTimeFunction(fn=nan, dt=nan, dr=nan, drr=nan, label="NaN")
+        with pytest.raises(DomainError, match="not finite at any grid point"):
+            check_sign(u, prof, 1.5, 2, grid=make_cert_grid(prof, 8, 8))
 
     def test_non_finite_residual_inside_domain_fails(self, singular_case):
         spec, prof = singular_case
@@ -126,7 +138,7 @@ class TestCheckSign:
         assert rep.grid["points"] == 64 * 128
         assert rep.details["non_finite_points"] == 64 * 128
         r, t = rep.details["first_non_finite_location"]
-        assert prof.contains(r, t) and t < t_split
+        assert grid_point(grid, prof, (r, t)) == (0, 0) and t < t_split
 
     def test_deterministic_reports(self, singular_case):
         spec, prof = singular_case
@@ -239,6 +251,74 @@ class TestBarrierFamily:
         monkeypatch.setattr(calculus, "_pool", lambda: None)
         assert report_hash() == whole
 
+    @pytest.mark.parametrize("p, q, n, nan_after", [
+        (3.0, 0.5, 1, None), (4.0, 0.4, 2, None), (3.0, 0.5, 1, -1e-3)])
+    def test_margins_match_full_arrays(self, p, q, n, nan_after):
+        # reference: every member's margins as minima of full-size arrays
+        # and its residual through check_sign; the report's are bit for bit
+        # the same, NaN values (on the grid's last time levels) included
+        prof = make_profile("power", K=1.0, q=q, t0=-1.0)
+        gauge = envelope_gauge(prof, p, n)
+        C0, _ = find_family_threshold(p, n, gauge)
+        ladder = [make_barrier("degenerate_family_member", p=p, n=n, q=q, C=C0 * 2 ** j,
+                               gauge=gauge) for j in range(4)]
+        if nan_after is not None:
+            fn = ladder[1].fn.fn
+            ladder[1] = replace(ladder[1], fn=replace(ladder[1].fn, fn=lambda r, t: np.where(
+                np.asarray(t) > nan_after, np.nan, fn(r, t))))
+        grid = make_cert_grid(prof, 48, 40)
+        rep = check_barrier_family(ladder, prof, p, n, k_max=2, grid=grid)
+        pars = Params(p=p, n=n)
+        R, T = grid.meshes(prof)
+        signs = []
+        for spec, entry in zip(ladder, rep.details["condition_i_members"]):
+            C = spec.constants["C"]
+            vals = spec.fn(R, T)
+            Q = C + pars.kap * pars.chi(R, -T)
+            lower = pars.envelope(C, gauge.delta(T), T, scale=1.0 / p)
+            signs.append(check_sign(spec.fn, prof, p, n, grid=grid))
+            reference = [signs[-1].worst_violation, vals.min(), (Q - C).min(),
+                         (2.0 * C - Q).min(), (vals - lower).min()]
+            reported = [entry[k] for k in ("residual_worst", "positivity_min",
+                                           "sandwich_margin_low", "sandwich_margin_high",
+                                           "lower_bound_margin")]
+            np.testing.assert_array_equal(reported, reference)
+            assert np.signbit(reported).tolist() == np.signbit(reference).tolist()
+        worst = min(signs, key=lambda sign: sign.worst_violation)
+        assert (rep.worst_violation, rep.worst_location) == (worst.worst_violation,
+                                                             worst.worst_location)
+        if nan_after is not None:
+            assert np.isnan(rep.details["condition_i_members"][1]["lower_bound_margin"])
+            assert not rep.details["condition_i_members"][1]["pass"] and not rep.passed
+
+    def test_grid_meshes_are_built_once(self, family_setup, monkeypatch):
+        prof, _, _, ladder = family_setup
+        calls = []
+        meshes = CertGrid.meshes
+
+        def counting(grid, profile):
+            calls.append(grid)
+            return meshes(grid, profile)
+
+        monkeypatch.setattr(CertGrid, "meshes", counting)
+        check_barrier_family(ladder, prof, 3.0, 1, grid=make_cert_grid(prof, 16, 16))
+        assert len(calls) == 1
+
+    def test_growth_levels_allocate_little(self, family_setup):
+        # condition (iii) at k_max = 2000 holds per level a ladder's worth of
+        # numbers, not a copy of every boundary sample (75 MB at 9 members)
+        prof, _, _, ladder = family_setup
+        grid = make_cert_grid(prof, 16, 16)
+        check_barrier_family(ladder, prof, 3.0, 1, k_max=2000, grid=grid)    # warm caches
+        tracemalloc.start()
+        try:
+            rep = check_barrier_family(ladder, prof, 3.0, 1, k_max=2000, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.details["condition_iii_j_of_k"]) == 2000
+        assert peak < 4e6
+
     def test_short_ladder_inconclusive_not_fail(self, family_setup):
         prof, gauge, C0, _ = family_setup
         short = [make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5,
@@ -293,6 +373,22 @@ class TestBarrierFamily:
             j = next((j for j, spec in enumerate(ladder)
                       if np.min(spec.fn(rb[far], tb[far])) >= k), None)
             assert rep.details["condition_iii_j_of_k"][str(k)] == j
+
+    @pytest.mark.parametrize("low_within, j", [(np.less_equal, None), (np.less, 0)])
+    def test_growth_level_keeps_samples_at_exactly_one_over_k(self, family_setup,
+                                                              low_within, j):
+        # the bottom sample (0, t0) lies at distance exactly 1 from the tip,
+        # the least distance among the samples level k = 1 keeps; a member
+        # below 1 there fails level 1, and one below 1 only nearer passes it
+        prof, _, _, ladder = family_setup
+        rb, tb = _boundary_samples(prof, n_each=256)
+        dist = np.sqrt(rb * rb + tb * tb)
+        assert np.count_nonzero(dist == 1.0) == 1 and dist[dist >= 1.0].min() == 1.0
+        low = lambda r, t: np.where(low_within(np.sqrt(r * r + t * t), 1.0), 0.5, 5.0)
+        member = replace(ladder[0], fn=replace(ladder[0].fn, fn=low))
+        rep = check_barrier_family([member], prof, 3.0, 1, k_max=1,
+                                   grid=make_cert_grid(prof, 8, 8))
+        assert rep.details["condition_iii_j_of_k"] == {"1": j}
 
     def test_nan_near_the_tip_fails_decay(self, family_setup):
         # NaN only for t > -1e-7: the grid stops at -1e-6, the rays reach -1e-8
