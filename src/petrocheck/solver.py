@@ -51,21 +51,34 @@ from the secant extrapolation v_{k-1} + (dt_k/dt_{k-1}) (v_{k-1} - v_{k-2})
 of the last two levels, with the Dirichlet node set to its datum; step 1
 starts from v_0.  A step is solved when max_i |G_i| / scale_i <= RESIDUAL_TOL,
 where scale_i is 1 + |v_i| + |vold_i| plus the magnitude of each term of
-row i.  A step that has not converged after _NEWTON_MAX iterations, or
-whose line-search trials all fail, raises SolverError, as do a non-finite
-residual or Jacobian and a singular system (LAPACK gtsv).  Each solve
-records its counts (steps, Newton iterations, assemblies, backtracks) and
-the worst accepted scaled residual in GridField.meta["stats"].
+row i.  Each residual evaluation (assembly) builds phi' only as a function,
+called when its iterate goes on to a tridiagonal solve.  A step that has not
+converged after _NEWTON_MAX iterations, or whose line-search trials all
+fail, raises SolverError, as do a non-finite residual or Jacobian and a
+singular system (LAPACK gtsv).
+
+Newton runs only where the field can move.  While the field is a finite
+constant c and the next lateral datum is c, the level is still: phi(0) = 0
+and A (c - c) = 0 make every term of G exactly 0 at the secant start, which
+is c, so the march writes that start (Dirichlet node bc) as the level with
+no assembly, exactly what Newton would accept.  If a weight of the step or
+phi(0) is not finite, G is not 0 and the step goes to Newton, which fails
+as it would.  Still levels can only open the march: the first datum other
+than c ends them.  Each solve records its counts (steps, settled steps,
+Newton iterations, assemblies, backtracks) and the worst accepted scaled
+residual in GridField.meta["stats"].
 
 Time grid: geometric (log-uniform) from t0 down to -eps_min, then each
 interval is subdivided until dt <= c_step * zeta(t)^p, because the
 transformed diffusion coefficient grows like zeta^(-p) as the cusp closes.
 The cap is an accuracy heuristic, not a stability need: each implicit step
-is an M-matrix problem at any dt.  The default probe ladder sets c_step to
-_UNCAPPED_C_STEP, so each of its rungs marches exactly its n_t log-uniform
-steps; for q*p > 1 the cap would grow the deepest rung like
-eps_min^(1 - q*p).  No data is ever imposed at t = 0; marching stops at
--eps_min.  SolverConfig checks its grid and step settings when it is built.
+is an M-matrix problem at any dt.  The step counts of all intervals are
+checked against _MAX_STEPS before the grid is built in one pass.  The
+default probe ladder sets c_step to _UNCAPPED_C_STEP, so each of its rungs
+marches exactly its n_t log-uniform steps; for q*p > 1 the cap would grow
+the deepest rung like eps_min^(1 - q*p).  No data is ever imposed at t = 0;
+marching stops at -eps_min.  SolverConfig checks its grid and step settings
+when it is built.
 
 probe_origin drives the tip-attainment experiment: with boundary data that
 isolate the tip value, the axis trace u(0, t -> 0-) either collapses to the
@@ -194,36 +207,44 @@ class RegularityVerdict:
 def time_grid(profile: DomainProfile, p: float, cfg: SolverConfig) -> np.ndarray:
     """Geometric grid from t0 to -eps_min with the stiffness cap applied.
 
-    Each log-uniform interval is subdivided until dt <= c_step * zeta^p
-    evaluated at its right (narrower) end.
+    Each log-uniform interval [a, b] is subdivided into m equal steps, the
+    least m >= 1 with dt <= c_step * zeta^p evaluated at its right (narrower)
+    end; its points are a + ((b - a) / m) j for j = 1..m.  The step count is
+    checked against _MAX_STEPS before the grid is built.
     """
     t0 = profile.t0
     eps = cfg.resolved_eps_min(t0)
     if eps >= abs(t0):
         raise DomainError(f"eps_min must lie in (0, |t0|), got {eps}")
     base = -np.logspace(math.log10(abs(t0)), math.log10(eps), cfg.n_t + 1)
-    out = [base[0]]
-    for a, b in zip(base[:-1], base[1:]):
-        cap = cfg.c_step * float(profile.zeta(b)) ** p
-        # cap may overflow to inf; an interval still takes at least one step
-        m = max(1, math.ceil((b - a) / cap)) if cap > 0 else _MAX_STEPS
-        if len(out) + m > _MAX_STEPS:
-            raise SolverError(
-                f"time grid exceeds max_steps={_MAX_STEPS}; "
-                f"raise c_step or eps_min", t=b,
-            )
-        step = (b - a) / m
-        out.extend(a + step * np.arange(1, m + 1))
-    grid = np.array(out)
+    a, b = base[:-1], base[1:]
+    # cap may overflow to inf, where an interval still takes one step; a cap
+    # that is 0 or NaN asks for more steps than the guard allows
+    with np.errstate(over="ignore", divide="ignore"):
+        cap = cfg.c_step * np.asarray(profile.zeta(b), dtype=float) ** p
+        m = np.where(cap > 0, np.maximum(1.0, np.ceil((b - a) / cap)), _MAX_STEPS)
+    ends = np.cumsum(m)         # integers, exact in floating point up to the guard
+    over = np.flatnonzero(1.0 + ends > _MAX_STEPS)
+    if over.size:
+        raise SolverError(
+            f"time grid exceeds max_steps={_MAX_STEPS}; "
+            f"raise c_step or eps_min", t=b[over[0]],
+        )
+    m, ends = m.astype(np.intp), ends.astype(np.intp)
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - m, m)    # 1..m in each interval
+    grid = np.empty(j.size + 1)
+    grid[0] = base[0]
+    grid[1:] = np.repeat(a, m) + np.repeat((b - a) / m, m) * j
     grid[-1] = -eps
     return grid
 
 
 def _flux(s, p, eps):
-    """Regularized flux phi(s) = (s^2 + eps^2)^((p-2)/2) s and its derivative."""
+    """Regularized flux phi(s) = (s^2 + eps^2)^((p-2)/2) s, and a function
+    that returns its derivative phi'(s); only a Newton solve calls it."""
     s2e = s * s + eps * eps
     return (s2e ** ((p - 2.0) / 2.0) * s,
-            s2e ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps))
+            lambda: s2e ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps))
 
 
 class _StepCoefficients(NamedTuple):
@@ -241,9 +262,11 @@ class _Stepper:
     """One implicit-Euler step of the transformed equation.
 
     `stats` accumulates over the steps taken: every call of `assemble` counts
-    as an assembly, so assemblies == steps + newton_iterations + backtracks
-    (a Newton iteration's first line-search trial is its own assembly; each
-    further trial is a backtrack).
+    as an assembly and a level `settle` writes counts as a settled step, so
+    assemblies == steps - settled_steps + newton_iterations + backtracks (a
+    Newton step's first residual is one assembly, a Newton iteration's first
+    line-search trial is its own assembly and each further trial is a
+    backtrack).
     """
 
     def __init__(self, profile, p, n, cfg):
@@ -255,26 +278,34 @@ class _Stepper:
         radial = self.y[1:-1] ** (1 - n) / self.h
         self.geom_plus = radial * yh[1:] ** (n - 1)
         self.geom_minus = radial * yh[:-1] ** (n - 1)
-        self.stats = {"steps": 0, "newton_iterations": 0, "assemblies": 0,
-                      "backtracks": 0, "worst_residual": 0.0}
+        # the face weights are w times these; rounding is monotone, so they
+        # are all finite iff w times the largest is
+        self.geom_max = float(max(self.geom_plus.max(), self.geom_minus.max()))
+        # phi(0) is exactly 0 unless (eps_reg^2)^((p-2)/2) is infinite
+        with np.errstate(all="ignore"):
+            self.flat_flux_is_zero = not _flux(np.zeros(cfg.n_y - 1), p, cfg.eps_reg)[0].any()
+        self.stats = {"steps": 0, "settled_steps": 0, "newton_iterations": 0,
+                      "assemblies": 0, "backtracks": 0, "worst_residual": 0.0}
 
-    def coefficients(self, t_new, dt) -> _StepCoefficients:
+    def _scalars(self, t_new, dt):
+        """w = dt zeta^-p, the symmetry weight w0, the advection factor
+        a = dt |zeta'/zeta| / h and the upwind side of the step to t_new."""
         z = float(self.profile.zeta(t_new))
         dz = float(self.profile.dzeta(t_new))
         w = dt * z ** (-self.p)
-        return _StepCoefficients(
-            w0=w * self.n / (self.h / 2.0),
-            wp=w * self.geom_plus,
-            wm=w * self.geom_minus,
-            up=dz > 0.0,
-            A=(dt * abs(dz / z) / self.h) * self.y[1:-1],
-        )
+        return w, w * self.n / (self.h / 2.0), dt * abs(dz / z) / self.h, dz > 0.0
+
+    def coefficients(self, t_new, dt) -> _StepCoefficients:
+        w, w0, a, up = self._scalars(t_new, dt)
+        return _StepCoefficients(w0=w0, wp=w * self.geom_plus, wm=w * self.geom_minus,
+                                 up=up, A=a * self.y[1:-1])
 
     def assemble(self, v, vold, c: _StepCoefficients, bc):
-        """G(v), the flux derivative phi'(s) at the half points, and the
-        scaled residual norm.  The norm is scaled because an absolute test
-        is unreachable where the regularized flux makes terms large but
-        cancelling; RESIDUAL_TOL is the roundoff floor of evaluating G."""
+        """G(v), a function that returns the flux derivative phi'(s) at the
+        half points, and the scaled residual norm.  The norm is scaled
+        because an absolute test is unreachable where the regularized flux
+        makes terms large but cancelling; RESIDUAL_TOL is the roundoff floor
+        of evaluating G."""
         self.stats["assemblies"] += 1
         phi, dphi = _flux((v[1:] - v[:-1]) / self.h, self.p, self.cfg.eps_reg)
         terms = np.zeros((3, v.size))       # advection, outflow, inflow of each row
@@ -315,14 +346,33 @@ class _Stepper:
                               step=step_index, t=t_new)
         return x
 
+    def settle(self, start, t_new, dt, bc):
+        """The step to t_new from a still level: the previous level and start
+        equal the finite datum bc everywhere.  Every term of G is then exactly
+        0 at start, so Newton would accept it as it is; this returns start
+        with its Dirichlet node set to bc without assembling G.  Returns None
+        if a weight of the step or phi(0) is not finite, where G is not 0
+        and `step` fails as it would from any start."""
+        w, w0, a, _ = self._scalars(t_new, dt)
+        if not (self.flat_flux_is_zero
+                and math.isfinite(w0) and math.isfinite(w * self.geom_max)
+                and math.isfinite(a)):
+            return None
+        v = start.copy()
+        v[-1] = bc
+        self.stats["steps"] += 1
+        self.stats["settled_steps"] += 1
+        return v
+
     def step(self, vold, start, t_new, dt, bc, step_index):
         """Solve the step from vold to t_new by Newton, started at start with
         its Dirichlet node set to bc.
 
         Each Newton iterate costs one assembly: an accepted line-search
-        trial's residual and flux derivative are the next iterate's.  The
-        step fails after _NEWTON_MAX iterations, or when all twelve trials
-        of a line search fail.
+        trial's residual is the next iterate's, and its flux derivative is
+        built only if that iterate goes on to a solve.  The step fails after
+        _NEWTON_MAX iterations, or when all twelve trials of a line search
+        fail.
         """
         c = self.coefficients(t_new, dt)
         stats = self.stats
@@ -341,7 +391,7 @@ class _Stepper:
                 raise SolverError(f"non-finite residual at step {step_index} "
                                   f"(t={t_new:.6g})", step=step_index, t=t_new,
                                   residual=gnorm)
-            dv = self.solve(c, dphi, -G, step_index, t_new)
+            dv = self.solve(c, dphi(), -G, step_index, t_new)
             stats["newton_iterations"] += 1
             lam = 1.0
             for tries in range(12):
@@ -391,6 +441,10 @@ def solve_dirichlet(
     values[0] = v
     data_min = float(v.min())
     data_max = float(v.max())
+    # a finite constant bottom slice c stays still while the lateral datum
+    # is c; the first other datum ends the run of settled levels
+    c = data_min
+    still = c == data_max and math.isfinite(c)
     for k in range(1, ts.size):
         t_new = float(ts[k])
         dt = t_new - float(ts[k - 1])
@@ -399,7 +453,9 @@ def solve_dirichlet(
         data_max = max(data_max, bc)
         # Newton starts from the secant extrapolation of the last two levels
         start = v if k == 1 else v + (dt / dt_prev) * (v - values[k - 2])
-        v = stepper.step(v, start, t_new, dt, bc, k)
+        settled = stepper.settle(start, t_new, dt, bc) if still and bc == c else None
+        still = settled is not None
+        v = settled if still else stepper.step(v, start, t_new, dt, bc, k)
         values[k] = v
         dt_prev = dt
 
@@ -416,6 +472,9 @@ def default_probe(r, t):
     The datum of every probe_origin run; any continuous datum with an
     isolated tip value would do.
     """
+    if isinstance(r, float) and isinstance(t, float):
+        # the march reads one point per level: the same operations on floats
+        return min(math.sqrt(r * r + t * t) / 0.1, 1.0)
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     out = np.minimum(1.0, np.sqrt(r * r + t * t) / 0.1)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from petrocheck.calculus import barenblatt_function
-from petrocheck.domains import make_profile, profile_from_samples
+from petrocheck.domains import DomainProfile, make_profile, profile_from_samples
 from petrocheck.errors import DomainError, SolverError
 from petrocheck import solver as solver_mod
 from petrocheck.solver import (
@@ -90,10 +91,78 @@ class TestTimeGrid:
         np.testing.assert_array_equal(ts[:-1], base[:-1])
 
     def test_max_steps_guard(self, power_profile):
-        # the first interval alone needs more steps than the guard allows,
-        # so it raises before it builds the grid
-        with pytest.raises(SolverError, match="max_steps"):
-            time_grid(power_profile, 3.0, SolverConfig(c_step=1e-12))
+        # the first interval alone needs about 1e11 steps, so the guard
+        # raises there, from the counts alone, before any grid is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolverError, match="max_steps") as err:
+                time_grid(power_profile, 3.0, SolverConfig(c_step=1e-12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert err.value.t == -np.logspace(0.0, -4.0, 401)[1]
+
+    @pytest.mark.parametrize("max_steps", [400, 661, 662])
+    def test_max_steps_guard_as_interval_by_interval(self, power_profile, monkeypatch,
+                                                     max_steps):
+        # 662 points under the cap: a guard of 400 trips mid-grid, one of
+        # 661 at the last interval, and 662 lets the grid through
+        monkeypatch.setattr(solver_mod, "_MAX_STEPS", max_steps)
+        assert_same_grid(power_profile, 3.0, SolverConfig())
+
+    @pytest.mark.parametrize("width", [np.nan, 0.0])
+    def test_zero_or_nan_width_trips_the_guard(self, power_profile, width):
+        t_bad = -np.logspace(0.0, -4.0, 401)[7]
+        prof = DomainProfile(kind="tabulated", t0=-1.0, dzeta=power_profile.dzeta,
+                             zeta=lambda t: np.where(t == t_bad, width, power_profile.zeta(t)))
+        err = assert_same_grid(prof, 3.0, SolverConfig())
+        assert err.t == t_bad
+
+    @pytest.mark.parametrize("K, c_step, grid", [
+        pytest.param(1.0, SolverConfig.c_step, dict(n_y=65, n_t=200, eps_min=1e-3),
+                     id="criterion-8"),
+        pytest.param(1.0, 0.01, dict(n_t=50, eps_min=1e-3), id="fine-cap"),
+        *(pytest.param(1.0, rung["c_step"], rung, id=f"rung-{i + 1}")
+          for i, rung in enumerate(_default_ladder(-1.0))),
+        pytest.param(10.0, 1e308, dict(n_t=20), id="overflowing-cap"),
+    ])
+    def test_equals_the_per_interval_grid(self, K, c_step, grid):
+        prof = make_profile("power", K=K, q=0.5, t0=-1.0)
+        cfg = SolverConfig(**{**grid, "c_step": c_step})
+        assert assert_same_grid(prof, 3.0, cfg) is None
+
+
+def reference_time_grid(profile, p, cfg):
+    """time_grid built interval by interval, each step count from the scalar
+    width at the interval's right end."""
+    eps = cfg.resolved_eps_min(profile.t0)
+    base = -np.logspace(math.log10(abs(profile.t0)), math.log10(eps), cfg.n_t + 1)
+    out = [base[0]]
+    for a, b in zip(base[:-1], base[1:]):
+        cap = cfg.c_step * float(profile.zeta(b)) ** p
+        m = max(1, math.ceil((b - a) / cap)) if cap > 0 else solver_mod._MAX_STEPS
+        if len(out) + m > solver_mod._MAX_STEPS:
+            raise SolverError(f"time grid exceeds max_steps={solver_mod._MAX_STEPS}; "
+                              f"raise c_step or eps_min", t=b)
+        out.extend(a + (b - a) / m * np.arange(1, m + 1))
+    grid = np.array(out)
+    grid[-1] = -eps
+    return grid
+
+
+def assert_same_grid(profile, p, cfg):
+    """time_grid and reference_time_grid build the same grid or raise the
+    same SolverError; returns the error or None."""
+    try:
+        ref = reference_time_grid(profile, p, cfg)
+    except SolverError as err:
+        with pytest.raises(SolverError) as got:
+            time_grid(profile, p, cfg)
+        assert (str(got.value), got.value.t) == (str(err), err.t)
+        return got.value
+    np.testing.assert_array_equal(time_grid(profile, p, cfg), ref)
+    return None
 
 
 class TestSolveDirichlet:
@@ -207,22 +276,25 @@ def smooth_data(r, t):
 
 
 def assert_one_assembly_per_iterate(stats):
-    assert stats["assemblies"] == (stats["steps"] + stats["newton_iterations"]
-                                   + stats["backtracks"])
+    assert stats["assemblies"] == (stats["steps"] - stats["settled_steps"]
+                                   + stats["newton_iterations"] + stats["backtracks"])
 
 
-def march_from_previous_level(profile, p, n, f, cfg):
-    """solve_dirichlet's field, but with each step's Newton started at the
-    previous level, and the stepper's stats."""
+def reference_march(profile, p, n, f, cfg, secant=True):
+    """solve_dirichlet's field with Newton (`_Stepper.step`) at every level,
+    started at the secant extrapolation of the last two levels or, with
+    secant=False, at the previous level; and the stepper's stats."""
     ts = time_grid(profile, p, cfg)
     st = _Stepper(profile, p, n, cfg)
-    v = np.asarray(f(st.y * float(profile.zeta(ts[0])), ts[0]), dtype=float)
-    rows = [v]
+    rows = [np.asarray(f(st.y * float(profile.zeta(ts[0])), ts[0]), dtype=float)]
     for k in range(1, ts.size):
         t_new = float(ts[k])
+        dt = t_new - float(ts[k - 1])
         bc = float(f(float(profile.zeta(t_new)), t_new))
-        v = st.step(v, v, t_new, t_new - float(ts[k - 1]), bc, k)
-        rows.append(v)
+        v = rows[-1]
+        start = v if k == 1 or not secant else v + (dt / dt_prev) * (v - rows[-2])
+        rows.append(st.step(v, start, t_new, dt, bc, k))
+        dt_prev = dt
     return np.array(rows), st.stats
 
 
@@ -251,20 +323,20 @@ class TestSolverStats:
         # they differ by far less than 1e-9 (3.2e-12 measured).
         stats = crit8_field.meta["stats"]
         assert stats["newton_iterations"] / stats["steps"] <= 3.5
-        old, old_stats = march_from_previous_level(power_profile, 3.0, 1, smooth_data,
-                                                   CRIT8_GRID)
+        old, old_stats = reference_march(power_profile, 3.0, 1, smooth_data, CRIT8_GRID,
+                                        secant=False)
         assert old_stats["newton_iterations"] / old_stats["steps"] > 4.5
         assert float(np.max(np.abs(crit8_field.values - old))) <= 1e-9
 
     def test_stationary_field_keeps_the_previous_level_start(self):
-        # on (3, 0.2, 1) rung 1 the datum is 1 throughout, so the two last
-        # levels agree exactly, the extrapolated start is the previous level,
-        # and every step is accepted without a Newton iteration
+        # on (3, 0.2, 1) rung 1 the datum is 1 throughout, so every level
+        # settles, and Newton started at the previous level agrees: it
+        # accepts each start without an iteration
         prof = make_profile("power", K=1.0, q=0.2, t0=-1.0)
         cfg = SolverConfig(**_default_ladder(prof.t0)[0])
         fld = solve_dirichlet(prof, 3.0, 1, default_probe, cfg)
         assert fld.meta["stats"]["newton_iterations"] == 0
-        old, _ = march_from_previous_level(prof, 3.0, 1, default_probe, cfg)
+        old, _ = reference_march(prof, 3.0, 1, default_probe, cfg, secant=False)
         np.testing.assert_array_equal(fld.values, old)
 
     def test_default_ladder_endpoints_within_solve_tolerance(self):
@@ -324,6 +396,123 @@ class TestSolverStats:
         assert err.value.step == 1 and err.value.residual > solver_mod.RESIDUAL_TOL
 
 
+def failure(march, *args):
+    """Type, message, step and time of the exception march(*args) raises."""
+    with pytest.raises(Exception) as err:
+        march(*args)
+    e = err.value
+    return type(e), str(e), getattr(e, "step", None), getattr(e, "t", None)
+
+
+def overflowing_at(profile, t_bad, zeta, dzeta=None):
+    """profile, but with the width (and the derivative, if given) replaced
+    where the march reads it at the level t_bad, one scalar call per level;
+    time_grid reads widths in one array call and still sees the profile's."""
+    def at_bad(g, value):
+        return lambda t: value if np.ndim(t) == 0 and t == t_bad else g(t)
+    return DomainProfile(kind="tabulated", t0=profile.t0,
+                         zeta=at_bad(profile.zeta, zeta),
+                         dzeta=profile.dzeta if dzeta is None else at_bad(profile.dzeta, dzeta))
+
+
+class TestStillLevels:
+    """Levels where the field equals a constant datum are written without
+    Newton; they must be exactly what Newton gives, and fail where it fails."""
+
+    @pytest.mark.parametrize("p, q, n", [(3.0, 0.6, 1), (1.5, 0.3, 1)])
+    def test_settled_levels_are_bit_exact(self, p, q, n):
+        # on the deepest default rung the datum is 1 until the lateral point
+        # comes within 0.1 of the tip, so the march settles the first levels
+        # and Newton takes the rest
+        prof = make_profile("power", K=1.0, q=q, t0=-1.0)
+        cfg = SolverConfig(**_default_ladder(prof.t0)[2])
+        fld = solve_dirichlet(prof, p, n, default_probe, cfg)
+        ref, ref_stats = reference_march(prof, p, n, default_probe, cfg)
+        np.testing.assert_array_equal(fld.values, ref)
+        stats = fld.meta["stats"]
+        assert 0 < stats["settled_steps"] < stats["steps"]
+        assert_one_assembly_per_iterate(stats)
+        assert stats["assemblies"] == ref_stats["assemblies"] - stats["settled_steps"]
+        for key in ("steps", "newton_iterations", "backtracks", "worst_residual"):
+            assert stats[key] == ref_stats[key]
+
+    def test_datum_back_at_its_constant_does_not_settle(self, power_profile):
+        # the datum leaves 0.5 for a while and comes back; the field has moved
+        # by then, so only the levels before the first change may settle
+        cfg = SolverConfig(n_y=33, n_t=40, eps_min=1e-2)
+        f = lambda r, t: 0.5 + 0.2 * (abs(t + 0.3) < 0.05) + 0.0 * np.asarray(r, dtype=float)
+        fld = solve_dirichlet(power_profile, 3.0, 1, f, cfg)
+        ref, _ = reference_march(power_profile, 3.0, 1, f, cfg)
+        np.testing.assert_array_equal(fld.values, ref)
+        first_change = np.flatnonzero(np.abs(fld.t_nodes + 0.3) < 0.05)[0]
+        assert fld.meta["stats"]["settled_steps"] == first_change - 1
+
+    @pytest.mark.parametrize("c", [0.7, -0.0])
+    def test_constant_datum_needs_no_assembly(self, power_profile, c):
+        # the settled levels are Newton's to the sign of zero: with a datum
+        # of -0 the secant start turns the interior to +0 from level 2 on
+        cfg = SolverConfig(n_y=33, n_t=50, eps_min=1e-2)
+        f = lambda r, t: np.full(np.shape(r), c)
+        fld = solve_dirichlet(power_profile, 3.0, 1, f, cfg)
+        ref, _ = reference_march(power_profile, 3.0, 1, f, cfg)
+        np.testing.assert_array_equal(fld.values, c)
+        np.testing.assert_array_equal(np.signbit(fld.values), np.signbit(ref))
+        stats = fld.meta["stats"]
+        assert stats["steps"] == stats["settled_steps"] == fld.t_nodes.size - 1
+        assert stats["assemblies"] == stats["newton_iterations"] == 0
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constant_datum_fails_as_newton_does(self, power_profile, c):
+        cfg = SolverConfig(n_y=17, n_t=11, eps_min=0.1)
+        f = lambda r, t: c + 0.0 * np.asarray(r, dtype=float)
+        args = (power_profile, 3.0, 1, f, cfg)
+        got = failure(solve_dirichlet, *args)
+        assert got == failure(reference_march, *args)
+        with np.errstate(invalid="ignore"):         # inf - inf is NaN, silently
+            got = failure(solve_dirichlet, *args)
+            assert got == failure(reference_march, *args)
+        assert got[0] is SolverError and got[2] == 1
+
+    # w = dt zeta^-p at one level sets the weights there; with n_y = 33 the
+    # symmetry weight is 64 n w and the largest face weight 32 (1.5^(n-1)) w
+    @pytest.mark.parametrize("p, n, w, dzeta, error", [
+        # the symmetry weight overflows, the face weights do not
+        (2.0, 1, 4e306, None, SolverError),
+        # at n = 8 the face weight 547 w overflows, the symmetry weight 512 w not
+        (2.0, 8, 3.4e305, None, SolverError),
+        # zeta' / zeta overflows, so the advection weight does
+        (3.0, 1, 1.0, 1e308, SolverError),
+        # zeta^-3 itself overflows
+        (3.0, 1, 1e308, None, OverflowError),
+    ])
+    def test_overflowing_weights_fail_as_newton_does(self, power_profile, p, n, w, dzeta,
+                                                     error):
+        cfg = SolverConfig(n_y=33, n_t=11, eps_min=0.1)
+        ts = time_grid(power_profile, p, cfg)
+        t_bad, dt = ts[5], float(ts[5] - ts[4])
+        prof = overflowing_at(power_profile, t_bad, (dt / w) ** (1.0 / p), dzeta)
+        args = (prof, p, n, lambda r, t: 0.5 + 0.0 * np.asarray(r, dtype=float), cfg)
+        got = failure(solve_dirichlet, *args)
+        assert got == failure(reference_march, *args)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN, silently
+            got = failure(solve_dirichlet, *args)
+            assert got == failure(reference_march, *args)
+        assert got[0] is error
+        if error is SolverError:
+            assert got[2] == 5 and got[3] == t_bad and "non-finite residual" in got[1]
+
+    def test_non_finite_flat_flux_fails_as_newton_does(self, power_profile):
+        # eps_reg^2 underflows to 0, so phi(0) = 0^(-1/4) * 0 is NaN at p = 1.5
+        cfg = SolverConfig(n_y=17, n_t=11, eps_min=0.1, eps_reg=1e-200)
+        args = (power_profile, 1.5, 1, lambda r, t: 0.5 + 0.0 * np.asarray(r, dtype=float), cfg)
+        got = failure(solve_dirichlet, *args)
+        assert got == failure(reference_march, *args)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = failure(solve_dirichlet, *args)
+            assert got == failure(reference_march, *args)
+        assert got[0] is SolverError and got[2] == 1
+
+
 class TestNewtonSystem:
     # ids of the (3, 2) cases are the time level alone
     @pytest.mark.parametrize("p, n, t_new, widening", [
@@ -343,7 +532,7 @@ class TestNewtonSystem:
         v = vold + 0.05 * np.cos(3.0 * st.y)
         _, dphi, _ = st.assemble(v, vold, c, 0.5)
         rhs = np.sin(5.0 * st.y)
-        x = st.solve(c, dphi, rhs, 1, t_new)
+        x = st.solve(c, dphi(), rhs, 1, t_new)
         e = 1e-6
         dG = (st.assemble(v + e * x, vold, c, 0.5)[0]
               - st.assemble(v - e * x, vold, c, 0.5)[0]) / (2.0 * e)
@@ -392,6 +581,20 @@ class TestProbe:
         short_ladder(monkeypatch, [{"eps_min": 1e-1, "n_y": 17, "n_t": 30}])
         out = probe_origin(power_profile, 3.0, 1)
         assert out["trend"] == "inconclusive"
+
+    def test_default_probe_reads_a_point_as_its_array_form(self):
+        # the march calls it with two floats; that path must give the array
+        # form's value bit for bit, signed zeros and NaN included
+        pts = np.array([0.0, -0.0, 1e-3, 0.07071067811865475, 0.1, -0.3, 1e200,
+                        np.inf, -np.inf, np.nan, 5e-324])
+        pts = np.concatenate([pts, np.random.default_rng(0).uniform(-0.15, 0.15, 60)])
+        r, t = np.meshgrid(pts, pts)
+        with np.errstate(over="ignore"):            # 1e200^2 is inf either way
+            grid = default_probe(r, t)
+        one = np.array([[default_probe(float(a), float(b)) for a, b in zip(ra, ta)]
+                        for ra, ta in zip(r, t)])
+        np.testing.assert_array_equal(one, grid)
+        np.testing.assert_array_equal(np.signbit(one), np.signbit(grid))
 
     def test_thresholds_reported(self, power_profile, monkeypatch):
         short_ladder(monkeypatch, [{"eps_min": 1e-1, "n_y": 17, "n_t": 30}])
