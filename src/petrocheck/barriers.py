@@ -46,6 +46,8 @@ __all__ = [
     "small_data_bound_g",
     "degenerate_irregularity_barrier",
     "degenerate_family_member",
+    "family_factors",
+    "FamilyFormula",
     "degenerate_small_data_barrier",
     "b_const",
     "m_const",
@@ -241,6 +243,42 @@ def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> Sp
         u, label=f"degenerate-small-data(p={p}, q={q}, n={n}, beta={beta})")
 
 
+def family_factors(pars: Params, gauge: Gauge, r, t):
+    """The factors of w_C that do not depend on C: kappa chi, the lift d of
+    delta_hat and f = -d^(1/(p-2)) (-t)^(-n/lam).  Every member of a ladder
+    on one gauge reads the same, so a ladder pass builds them once."""
+    p, n = pars.p, pars.n
+    kap_chi = pars.kap * pars.chi(r, -t)
+    d = lift(t, gauge.delta, gauge.ddelta)
+    f = -d ** (1.0 / (p - 2.0)) * (-t) ** (-n / pars.lam)
+    return kap_chi, d, f
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyFormula:
+    """The formula of the family member w_C on (pars, gauge): the shared
+    family_factors, then the member's own terms (given).  Applied to arrays
+    or jets it is one formula u(r, t), like every barrier's."""
+
+    pars: Params
+    gauge: Gauge
+    C: float
+
+    def __call__(self, r, t):
+        return self.given(*family_factors(self.pars, self.gauge, r, t))
+
+    def given(self, kap_chi, d, f):
+        """w_C from its C-free factors: Q = C + kappa chi and rho_C."""
+        C, m = self.C, self.pars.m
+        Q = C + kap_chi
+        rho = -C ** (1.0 / (self.pars.p - 2.0)) * d * f
+        return (Q ** m - C ** m) * f + rho
+
+    def reads(self, pars: Params, gauge: Gauge) -> bool:
+        """Whether this member's factors are those of (pars, gauge)."""
+        return self.pars == pars and self.gauge is gauge
+
+
 def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceTimeFunction:
     """Member w_C of the gauge-driven barrier family for p > 2.
 
@@ -255,7 +293,9 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
     On the axis w_C(0, t) = rho_C(t).  Time derivatives consume the gauge's
     closed-form delta_hat'; a gauge without derivative is rejected.  The
     construction is a supersolution once C passes find_family_threshold;
-    smaller C is allowed here, with no such guarantee.
+    smaller C is allowed here, with no such guarantee.  The formula is a
+    FamilyFormula, so a certificate of a ladder on one gauge builds the
+    C-free factors once for all its members.
     """
     pars = _degenerate(p, n)
     if C <= 0:
@@ -264,18 +304,8 @@ def degenerate_family_member(p: float, n: int, gauge: Gauge, C: float) -> SpaceT
         raise DomainError("gauge must carry a closed-form derivative (use envelope_gauge)")
     if not gauge.monotone_flag:
         raise DomainError("gauge must be weighted-monotone (use envelope_gauge)")
-    lam, m, kap = pars.lam, pars.m, pars.kap
-    cpow = C ** (1.0 / (p - 2.0))
-
-    def w(r, t):
-        Q = C + kap * pars.chi(r, -t)
-        d = lift(t, gauge.delta, gauge.ddelta)
-        f = -d ** (1.0 / (p - 2.0)) * (-t) ** (-n / lam)
-        rho = -cpow * d * f
-        return (Q ** m - C ** m) * f + rho
-
     return SpaceTimeFunction.from_formula(
-        w, label=f"degenerate-family(p={p}, n={n}, C={C})")
+        FamilyFormula(pars, gauge, C), label=f"degenerate-family(p={p}, n={n}, C={C})")
 
 
 def find_family_threshold(p: float, n: int, gauge: Gauge):

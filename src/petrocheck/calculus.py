@@ -255,51 +255,64 @@ if hasattr(os, "register_at_fork"):     # a forked child has none of the workers
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _run_blocks(block, r, t, count):
-    """count arrays of the broadcast shape of (r, t), filled a block of rows
-    at a time from block(r_rows, t_rows), which returns count values that
-    broadcast to those rows.
+def _map_blocks(task, r, t):
+    """[task(part, r_rows, t_rows) for each block of rows], in block order,
+    where part is the slice of the block's rows in the broadcast shape of
+    (r, t).
 
-    An operand enters block without the axes it was only broadcast along:
+    An operand enters task without the axes it was only broadcast along:
     on a certificate grid t stays the column (n_t, 1) against r of shape
     (n_t, n_y), so every t-only factor is computed once per time level.  A
     block holds at most _BLOCK points, which bounds the memory held by its
     intermediates.  The blocks run on the CPUs this process may use, each
     under a copy of the caller's context, so the caller's np.errstate holds
-    in them; a single block, or a single CPU, runs inline.  Each block
-    writes only its own rows, so for an elementwise block neither the split
-    nor the scheduling changes a value.  Every block ends before an error
-    raised in one reaches the caller, and of several errors the first
-    block's is raised.
+    in them; a single block, or a single CPU, runs inline.  Every block
+    ends before an error raised in one reaches the caller, and of several
+    errors the first block's is raised.
     """
     r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
-    shape = np.broadcast(r, t).shape
-    r, t = _axes(r, len(shape) or 1), _axes(t, len(shape) or 1)
-    out = np.empty((count,) + (shape or (1,)))
+    shape = np.broadcast(r, t).shape or (1,)
+    r, t = _axes(r, len(shape)), _axes(t, len(shape))
     rows = max(1, _BLOCK // max(1, math.prod(shape[1:])))
-    starts = range(0, out.shape[1], rows)
+    parts = [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
-    def fill(i):
-        part = slice(i, i + rows)
-        for o, value in zip(out, block(r if len(r) == 1 else r[part],
-                                       t if len(t) == 1 else t[part])):
+    def run(part):
+        return task(part, r if len(r) == 1 else r[part], t if len(t) == 1 else t[part])
+
+    pool = _pool() if len(parts) > 1 else None
+    if pool is None:
+        return [run(part) for part in parts]
+    futures = [pool.submit(contextvars.copy_context().run, run, part) for part in parts]
+    for f in futures:
+        f.exception()           # wait for every block
+    return [f.result() for f in futures]
+
+
+def _run_blocks(block, r, t, count):
+    """count arrays of the broadcast shape of (r, t), filled a block of rows
+    at a time by `_map_blocks` from block(r_rows, t_rows), which returns
+    count values that broadcast to those rows.  Each block writes only its
+    own rows, so for an elementwise block neither the split nor the
+    scheduling changes a value.
+    """
+    shape = np.broadcast(np.asarray(r), np.asarray(t)).shape
+    out = np.empty((count,) + (shape or (1,)))
+
+    def fill(part, rb, tb):
+        for o, value in zip(out, block(rb, tb)):
             o[part] = value
 
-    pool = _pool() if len(starts) > 1 else None
-    if pool is None:
-        for i in starts:
-            fill(i)
-    else:
-        futures = [pool.submit(contextvars.copy_context().run, fill, i) for i in starts]
-        for f in futures:
-            f.exception()           # wait for every block
-        for f in futures:
-            f.result()
+    _map_blocks(fill, r, t)
     return tuple(out) if shape else tuple(map(float, out[:, 0]))
 
 
 def _formula_jet(formula, r, t):
-    jet = _jet(formula(Jet(r, 0.0, 1.0), Jet(t, 1.0)))
+    """The jet of a formula at the points (r, t)."""
+    return _jet(formula(Jet(r, 0.0, 1.0), Jet(t, 1.0)))
+
+
+def _derivatives(formula, r, t):
+    jet = _formula_jet(formula, r, t)
     return jet.t, jet.r, jet.rr
 
 
@@ -315,11 +328,31 @@ def _jet_pass(formula, r, t):
     the r-dependent terms run on the full block.  Every jet operation is
     elementwise, so neither the blocks nor the kept axes change a value.
     """
-    return _run_blocks(partial(_formula_jet, formula), r, t, 3)
+    return _run_blocks(partial(_derivatives, formula), r, t, 3)
 
 
 def _jet_component(formula, index, r, t):
     return _jet_pass(formula, r, t)[index]
+
+
+def _field_jet(u, r, t, values=False, jet=None):
+    """The jet of the field u at the points (r, t) of one block.
+
+    A formula field's derivatives are those of jet, its formula's jet there
+    when the caller has built it, else of its formula run on the jets of r
+    and t; a hand-built field's are its dt, dr and drr.  With values the
+    jet's value is fn's.  Where fn is the formula's own, as from_formula
+    makes it, that is the formula jet's value: the jet operations apply
+    the same array operations to it.  Any other fn runs on (r, t).
+    Without values a hand-built field's value is None.
+    """
+    if u.formula is None:
+        return Jet(u.fn(r, t) if values else None,
+                   *(np.asarray(d(r, t), dtype=float) for d in (u.dt, u.dr, u.drr)))
+    if jet is None:
+        jet = _formula_jet(u.formula, r, t)
+    own = getattr(u.fn, "func", None) is _evaluate and u.fn.args == (u.formula,)
+    return jet if own or not values else Jet(u.fn(r, t), jet.t, jet.r, jet.rr)
 
 
 @dataclass(frozen=True)
@@ -488,15 +521,25 @@ def barenblatt_function(p: float, n: int, C: float) -> SpaceTimeFunction:
         in_domain=lambda r, t: np.asarray(t) > 0)
 
 
-def _closed_residual(ut, ur, urr, r, p, n):
-    """u_t - Lap_p u from u_t, u_r and u_rr at radius r, by the
-    non-conservative form; where u_r = u_rr = 0 the field is locally
-    constant and Lap_p u = 0."""
+def _closed_residual(jet, r, p, n):
+    """u_t - Lap_p u from the jet of u at radius r, by the non-conservative
+    form; where u_r = u_rr = 0 the field is locally constant and
+    Lap_p u = 0."""
+    ut, ur, urr = jet.t, jet.r, jet.rr
     flat = (ur == 0.0) & (urr == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         grad = np.where(flat, 0.0, np.abs(ur) ** (p - 2.0))
         lap = (p - 1.0) * grad * urr + (n - 1.0) / r * grad * ur
     return ut - np.where(flat, 0.0, lap)
+
+
+def _admit(u: SpaceTimeFunction, r, t, closed: bool):
+    """Refuse points outside u's domain and, for a closed-form residual, a
+    field without closed-form derivatives."""
+    if u.in_domain is not None and not np.all(u.in_domain(r, t)):
+        raise DomainError(f"evaluation outside the domain of {u.label!r}")
+    if closed and not u.has_closed_derivatives:
+        raise DomainError(f"{u.label!r} has no closed-form derivatives")
 
 
 def residual(
@@ -511,29 +554,22 @@ def residual(
     """Pointwise residual du/dt - Lap_p u of a smooth radial field.
 
     A nonnegative value indicates supersolution behavior at the point.
-    method="closed" uses the attached derivatives, exact up to roundoff.
-    For a field built from a formula each block of `_run_blocks` forms the
-    residual from its own jet, so no full-size derivative array is made and
-    the blocks run on every CPU the process may use; a hand-built field's
-    dt, dr and drr are evaluated whole.  Both go through `_closed_residual`.
+    method="closed" uses the attached derivatives, exact up to roundoff:
+    each block of `_run_blocks` forms the residual from the field's jet
+    there (`_field_jet`), so no full-size derivative array is made and the
+    blocks run on every CPU the process may use.  The certificates in
+    `verify` form the same residual from the same jets, block by block,
+    and reduce it there without calling this.
     method="fd" uses central differences for du/dt and the
     conservative oracle for Lap_p, both Richardson-extrapolated from the
     steps h and h/2.  A field without closed forms raises DomainError
     unless "fd" is asked for, so no certificate falls back to differences.
     """
-    if u.in_domain is not None and not np.all(u.in_domain(r, t)):
-        raise DomainError(f"evaluation outside the domain of {u.label!r}")
+    _admit(u, r, t, closed=method == "closed")
     if method == "closed":
-        if not u.has_closed_derivatives:
-            raise DomainError(f"{u.label!r} has no closed-form derivatives")
-        if u.formula is not None:
-            def block(rb, tb):
-                return (_closed_residual(*_formula_jet(u.formula, rb, tb), rb, p, n),)
-            return _run_blocks(block, r, t, 1)[0]
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        derivatives = (np.asarray(d, dtype=float) for d in u.derivatives(r, t))
-        return _unwrap(_closed_residual(*derivatives, r, p, n))
+        def block(rb, tb):
+            return (_closed_residual(_field_jet(u, rb, tb), rb, p, n),)
+        return _run_blocks(block, r, t, 1)[0]
     if method == "fd":
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)

@@ -11,6 +11,7 @@ the timestamp excluded.  Exit codes: 0 pass, 1 usage/precondition error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -327,10 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process: parsing reads it and
+    changes nothing in it, so it is built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

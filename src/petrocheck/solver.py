@@ -287,16 +287,16 @@ class _Stepper:
         self.stats = {"steps": 0, "settled_steps": 0, "newton_iterations": 0,
                       "assemblies": 0, "backtracks": 0, "worst_residual": 0.0}
 
-    def _scalars(self, t_new, dt):
+    def _scalars(self, t_new, dt, z):
         """w = dt zeta^-p, the symmetry weight w0, the advection factor
-        a = dt |zeta'/zeta| / h and the upwind side of the step to t_new."""
-        z = float(self.profile.zeta(t_new))
+        a = dt |zeta'/zeta| / h and the upwind side of the step to t_new,
+        where the width is z = zeta(t_new)."""
         dz = float(self.profile.dzeta(t_new))
         w = dt * z ** (-self.p)
         return w, w * self.n / (self.h / 2.0), dt * abs(dz / z) / self.h, dz > 0.0
 
-    def coefficients(self, t_new, dt) -> _StepCoefficients:
-        w, w0, a, up = self._scalars(t_new, dt)
+    def coefficients(self, t_new, dt, z) -> _StepCoefficients:
+        w, w0, a, up = self._scalars(t_new, dt, z)
         return _StepCoefficients(w0=w0, wp=w * self.geom_plus, wm=w * self.geom_minus,
                                  up=up, A=a * self.y[1:-1])
 
@@ -346,14 +346,14 @@ class _Stepper:
                               step=step_index, t=t_new)
         return x
 
-    def settle(self, start, t_new, dt, bc):
+    def settle(self, start, t_new, dt, z, bc):
         """The step to t_new from a still level: the previous level and start
         equal the finite datum bc everywhere.  Every term of G is then exactly
         0 at start, so Newton would accept it as it is; this returns start
         with its Dirichlet node set to bc without assembling G.  Returns None
         if a weight of the step or phi(0) is not finite, where G is not 0
         and `step` fails as it would from any start."""
-        w, w0, a, _ = self._scalars(t_new, dt)
+        w, w0, a, _ = self._scalars(t_new, dt, z)
         if not (self.flat_flux_is_zero
                 and math.isfinite(w0) and math.isfinite(w * self.geom_max)
                 and math.isfinite(a)):
@@ -364,9 +364,9 @@ class _Stepper:
         self.stats["settled_steps"] += 1
         return v
 
-    def step(self, vold, start, t_new, dt, bc, step_index):
-        """Solve the step from vold to t_new by Newton, started at start with
-        its Dirichlet node set to bc.
+    def step(self, vold, start, t_new, dt, z, bc, step_index):
+        """Solve the step from vold to t_new, where the width is z, by Newton,
+        started at start with its Dirichlet node set to bc.
 
         Each Newton iterate costs one assembly: an accepted line-search
         trial's residual is the next iterate's, and its flux derivative is
@@ -374,7 +374,7 @@ class _Stepper:
         _NEWTON_MAX iterations, or when all twelve trials of a line search
         fail.
         """
-        c = self.coefficients(t_new, dt)
+        c = self.coefficients(t_new, dt, z)
         stats = self.stats
         # nonmonotone acceptance for p >= 2: degenerate fronts (flat slopes)
         # converge through transient residual increases, so damp only on
@@ -448,14 +448,15 @@ def solve_dirichlet(
     for k in range(1, ts.size):
         t_new = float(ts[k])
         dt = t_new - float(ts[k - 1])
-        bc = float(f(float(profile.zeta(t_new)), t_new))
+        z = float(profile.zeta(t_new))          # read once per level
+        bc = float(f(z, t_new))
         data_min = min(data_min, bc)
         data_max = max(data_max, bc)
         # Newton starts from the secant extrapolation of the last two levels
         start = v if k == 1 else v + (dt / dt_prev) * (v - values[k - 2])
-        settled = stepper.settle(start, t_new, dt, bc) if still and bc == c else None
+        settled = stepper.settle(start, t_new, dt, z, bc) if still and bc == c else None
         still = settled is not None
-        v = settled if still else stepper.step(v, start, t_new, dt, bc, k)
+        v = settled if still else stepper.step(v, start, t_new, dt, z, bc, k)
         values[k] = v
         dt_prev = dt
 

@@ -6,17 +6,21 @@ levels, every point inside the cusp) and record the worst signed violation
 with its location.  They never claim a proof; limits (decay at the tip,
 growth at the far boundary) are checked along finitely many declared
 approach sequences.  Each certificate builds its grid's meshes once.  On the
-grid the barrier-family certificate takes each member's residual from one
-jet pass and its values from one evaluation; on the decay rays and on the
-boundary samples it evaluates each member once.  It reduces with numpy, so
-a NaN anywhere fails the condition it enters.  A formula field's values and
-residuals on a large grid are computed a block of rows at a time on every
-CPU the process may use (`calculus._run_blocks`), each block writing only
-its own rows; every reduction is made here, on the whole array, after all
-blocks end.  Identical inputs therefore produce bit-identical reports,
-whatever the number of CPUs or the scheduling: grids are deterministic,
-reductions are index-ordered, and the JSON form is canonically sorted with
-17-significant-digit floats; the report hash excludes the timestamp field.
+grid both certificates make one pass of blocks of rows
+(`calculus._map_blocks`), on every CPU the process may use: in each block a
+field's residual is formed from its jet and reduced at once
+(`_residual_minimum`), and the barrier family evaluates its whole ladder
+there, its members sharing kappa chi and the C-free time factors and taking
+their values from the same jets.  No full-size residual or value array is
+made.  Each block keeps only exact minima, maxima and counts with their
+first flat indices, and the blocks' numbers are merged in row order, so a
+report is the same whatever the split or the number of CPUs.  On the decay
+rays and on the boundary samples the family evaluates each member once.
+Every reduction follows numpy's rules, so a NaN anywhere fails the
+condition it enters.  Identical inputs therefore produce bit-identical
+reports: grids are deterministic, reductions are index-ordered, and the
+JSON form is canonically sorted with 17-significant-digit floats; the
+report hash excludes the timestamp field.
 """
 
 from __future__ import annotations
@@ -26,12 +30,20 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierSpec
-from .calculus import Params, SpaceTimeFunction, residual
+from .barriers import BarrierSpec, FamilyFormula, family_factors
+from .calculus import (
+    Jet,
+    Params,
+    SpaceTimeFunction,
+    _admit,
+    _closed_residual,
+    _field_jet,
+    _map_blocks,
+)
 from .domains import DomainProfile, scale_domain
 from .errors import DomainError
 from .solver import SolverConfig, solve_dirichlet
@@ -174,26 +186,118 @@ def _location(R, T, index):
     return float(R[i, j]), float(T[i, 0])
 
 
-def _residual_minimum(u: SpaceTimeFunction, p: float, n: int, R, T):
-    """(worst, index, points, details) of the residual of u on the meshes.
+class _Minimum(NamedTuple):
+    """A residual reduced over one block of grid rows; flat indices count
+    over the whole grid."""
 
-    worst is the least finite residual and index its flat index, points
-    the count of finite residuals, and details, empty when every residual
-    is finite, the count and the location of the non-finite ones' first.
-    A residual that is non-finite everywhere raises DomainError.
+    worst: Optional[float]  # least value that is not NaN (None if all are)
+    index: int              # flat index of its first occurrence
+    finite: int             # count of finite values
+    non_finite: int         # count of the others
+    first_non_finite: int   # flat index of the first of them (-1 if none)
+
+
+def _residual_minimum(res, start: int) -> _Minimum:
+    """The reduction of one block of residuals, whose first point has the
+    flat index start on the grid.
+
+    The least value follows np.nanargmin: NaN is skipped, +-inf is kept,
+    and of equal values the first counts.  So a -inf residual is the worst
+    one, while a NaN residual is never the worst; both are counted as
+    non-finite.
     """
-    flat = np.asarray(residual(u, p, n, R, T), dtype=float).reshape(-1)
+    flat = res.reshape(-1)
     finite = np.isfinite(flat)
-    points = int(np.count_nonzero(finite))
+    count = int(np.count_nonzero(finite))
+    if count == flat.size:
+        index = int(np.argmin(flat))
+        return _Minimum(float(flat[index]), start + index, count, 0, -1)
+    first = start + int(np.argmin(finite))
+    if np.isnan(flat).all():
+        return _Minimum(None, -1, 0, flat.size, first)
+    index = int(np.nanargmin(flat))
+    return _Minimum(float(flat[index]), start + index, count, flat.size - count, first)
+
+
+def _merge_minima(blocks: Sequence[_Minimum], R, T):
+    """(worst, index, points, details) of a residual from its blocks'
+    minima in row order, as `_residual_minimum` gives them for one block of
+    the whole grid: worst at its first flat index, points the finite count,
+    and details, empty when every residual is finite, the count and the
+    location of the first of the others.  A residual that is finite
+    nowhere raises DomainError."""
+    points = sum(m.finite for m in blocks)
     if points == 0:
         raise DomainError("the residual is not finite at any grid point")
-    if points == flat.size:
-        index, details = int(np.argmin(flat)), {}
-    else:
-        index = int(np.nanargmin(flat))
-        details = {"non_finite_points": flat.size - points,
-                   "first_non_finite_location": list(_location(R, T, int(np.argmin(finite))))}
-    return float(flat[index]), index, points, details
+    least = None
+    for m in blocks:
+        if m.worst is not None and (least is None or m.worst < least.worst):
+            least = m
+    details = {}
+    broken = [m for m in blocks if m.non_finite]
+    if broken:
+        details = {"non_finite_points": sum(m.non_finite for m in broken),
+                   "first_non_finite_location": list(_location(R, T, broken[0].first_non_finite))}
+    return least.worst, least.index, points, details
+
+
+def _ladder_jets(rb, tb, ladder):
+    """kappa chi's jet (None without a ladder) on one block of grid rows
+    (rb, tb), and the function that makes a field's jet there.
+
+    Given a ladder (pars, gauge), the C-free factors of the family w_C on
+    them are built once, and a field whose formula is a member on them
+    (`FamilyFormula.reads`) forms its jet from those factors; with a ladder
+    each jet's value is fn's.  Any other field is a group of one: its own
+    formula, or its own dt, dr, drr and fn (`calculus._field_jet`)."""
+    if ladder is None:
+        return None, lambda u: _field_jet(u, rb, tb)
+    pars, gauge = ladder
+    factors = family_factors(pars, gauge, Jet(rb, 0.0, 1.0), Jet(tb, 1.0))
+
+    def jet_of(u):
+        f = u.formula
+        shared = isinstance(f, FamilyFormula) and f.reads(pars, gauge)
+        return _field_jet(u, rb, tb, True, f.given(*factors) if shared else None)
+
+    return factors[0], jet_of
+
+
+def _grid_pass(fields, p, n, R, T, ladder=None):
+    """Reduce fields on the certificate grid (R, T) in one pass of
+    `calculus._map_blocks`: inside each block, one field after another, so
+    no full-size residual, value or kappa chi array is made.
+
+    Returns (minima, lows, extremes): per field, (worst, index, points,
+    details) of its residual (`_merge_minima`); for a ladder (pars, gauge),
+    per field the least value of each time level, and kappa chi's least
+    and greatest value (NaN if it is NaN anywhere), else None for both.
+    Every number a block keeps is an exact minimum or maximum, so the
+    results do not depend on the split."""
+    for u in fields:
+        _admit(u, R, T, closed=True)
+
+    def block(part, rb, tb):
+        kap_chi, jet_of = _ladder_jets(rb, tb, ladder)
+        start = part.start * R.shape[1]
+        minima, lows = [], []
+        for u in fields:
+            jet = jet_of(u)
+            res = np.broadcast_to(_closed_residual(jet, rb, p, n), rb.shape)
+            minima.append(_residual_minimum(res, start))
+            if ladder is not None:
+                lows.append(np.broadcast_to(jet.v, rb.shape).min(axis=1))
+            del jet, res            # freed before the next field's jet is made
+        extremes = None if ladder is None else (kap_chi.v.min(), kap_chi.v.max())
+        return minima, lows, extremes
+
+    blocks = _map_blocks(block, R, T)
+    minima = [_merge_minima(column, R, T) for column in zip(*(b[0] for b in blocks))]
+    if ladder is None:
+        return minima, None, None
+    lows = [np.concatenate(column) for column in zip(*(b[1] for b in blocks))]
+    extremes = np.array([b[2] for b in blocks])
+    return minima, lows, (extremes[:, 0].min(), extremes[:, 1].max())
 
 
 def check_sign(
@@ -214,7 +318,7 @@ def check_sign(
     if grid is None:
         grid = make_cert_grid(profile)
     R, T = grid.meshes(profile)
-    worst, index, points, details = _residual_minimum(u, p, n, R, T)
+    (worst, index, points, details), = _grid_pass([u], p, n, R, T)[0]
     return CertificateReport(
         subject=u.label,
         condition="residual >=0",
@@ -265,19 +369,26 @@ def check_barrier_family(
           short for some k, or a level k with no sample that far out, is
           reported inconclusive, not failed.
 
-    The grid, its meshes and kappa*chi are built once.  On the grid each
-    member's residual comes from one jet pass and is reduced as in
-    check_sign; its values come from one evaluation, reduced to the least
-    value of each time level.  The margins are then exact without a
-    full-size array per member: fl(fl(C + x) - C) rises and
-    fl(2C - fl(C + x)) falls with x, so the sandwich margins are their
-    values at the least and the greatest kappa*chi, and fl(v - l) rises
-    with v, so a time level's least lower-bound margin is its least
-    value's.  On the rays and on the boundary samples each member is
-    evaluated once.  Every minimum is numpy's, so a NaN anywhere fails its
-    condition.  Member continuity in the open cylinder (closed formulas) is
-    recorded as trivially satisfied; the strong-family gauge condition is
-    out of scope because its gauge function is existential.
+    The grid and its meshes are built once, and one block pass
+    (`_grid_pass`) certifies the whole ladder on it.  In each block the jet
+    of kappa*chi and the C-free time factors of w_C are built once
+    (`barriers.family_factors`); every member whose formula is w_C on this
+    (p, n) and the first member's gauge forms its Q, w_C and residual from
+    them with its own formula, and any other member (a changed formula, a
+    hand-built field) is evaluated alone in the same pass.  Each member's
+    value is its jet's, which is fn's bit for bit unless fn was replaced.
+    The block reduces each member's residual as check_sign does and its
+    values to the least value of each time level, and kappa*chi to its
+    least and greatest value.  The margins are then exact without a
+    full-size array: fl(fl(C + x) - C) rises and fl(2C - fl(C + x)) falls
+    with x, so the sandwich margins are their values at the least and the
+    greatest kappa*chi, and fl(v - l) rises with v, so a time level's least
+    lower-bound margin is its least value's.  On the rays and on the
+    boundary samples each member is evaluated once.  Every minimum is
+    numpy's, so a NaN anywhere fails its condition.  Member continuity in
+    the open cylinder (closed formulas) is recorded as trivially satisfied;
+    the strong-family gauge condition is out of scope because its gauge
+    function is existential.
     """
     if not family:
         raise DomainError("empty family")
@@ -291,8 +402,8 @@ def check_barrier_family(
     pars = Params(p=p, n=n)
     tol = SIGN_TOL
     R, T = grid.meshes(profile)
-    kap_chi = pars.kap * pars.chi(R, -T)
-    kc_min, kc_max = kap_chi.min(), kap_chi.max()
+    residuals, lows, (kc_min, kc_max) = _grid_pass([spec.fn for spec in family], p, n, R, T,
+                                                   (pars, family[0].gauge))
     t_ray = profile.t0 * (1e-8) ** (np.arange(1, 65) / 64)
     y_ray = (np.arange(1, _N_RAYS + 1)) / (_N_RAYS + 1.0)
     r_ray = y_ray[:, None] * np.asarray(profile.zeta(t_ray), dtype=float)
@@ -303,12 +414,10 @@ def check_barrier_family(
     order = np.argsort(-dist, kind="stable")
     rb, tb, dist = rb[order], tb[order], dist[order]
 
-    member_reports, decay, minima, running = [], [], [], []
-    for spec in family:
+    member_reports, decay, running = [], [], []
+    for spec, (worst, _, _, non_finite), level_min in zip(family, residuals, lows):
         w, delta, C = spec.fn, spec.gauge.delta, spec.constants["C"]
         # (i) positivity + supersolution + sandwich + lower bound
-        worst, index, _, non_finite = _residual_minimum(w, p, n, R, T)
-        level_min = np.asarray(w(R, T), dtype=float).min(axis=1)
         pos_min = float(level_min.min())
         sandwich_lo = float(C + kc_min - C)
         sandwich_hi = float(2.0 * C - (C + kc_max))
@@ -322,7 +431,6 @@ def check_barrier_family(
             "sandwich_margin_high": sandwich_hi, "lower_bound_margin": lower_margin,
             "pass": bool(ok),
         })
-        minima.append((worst, index))
         # (ii) decay along the rays below the vanishing envelope rho_C
         rho = pars.envelope(C, np.asarray(delta(t_ray), dtype=float), t_ray)
         below = float(np.min(rho - np.asarray(w(r_ray, t_ray), dtype=float)))
@@ -334,7 +442,7 @@ def check_barrier_family(
                       "pass": bool(below >= -tol and vanishing)})
         running.append(np.minimum.accumulate(np.asarray(w(rb, tb), dtype=float)))
     all_pass = all(m["pass"] for m in member_reports + decay)
-    worst, index = min(minima, key=lambda m: m[0])
+    worst, index, _, _ = min(residuals, key=lambda m: m[0])
     details: dict = {"ladder_C": Cs, "k_max": k_max,
                      "condition_i_members": member_reports, "condition_ii_decay": decay}
 

@@ -221,6 +221,14 @@ class TestResidual:
         assert residual(const, 3.0, 2, 0.5, -0.5, method="closed") == 0.0
         assert abs(residual(const, 1.5, 2, 0.5, -0.5, method="fd")) == 0.0
 
+    def test_hand_built_field_reads_its_own_derivatives(self):
+        u = SpaceTimeFunction(fn=lambda r, t: r * r * t, dt=lambda r, t: r * r,
+                              dr=lambda r, t: 2.0 * r * t, drr=lambda r, t: 2.0 * t + 0.0 * r)
+        assert [float(d) for d in u.derivatives(0.5, -0.25)] == [0.25, -0.25, -0.5]
+        # p = 2, n = 1: u_t - u_rr
+        assert residual(u, 2.0, 1, 0.5, -0.25) == 0.75
+        assert residual(u, 2.0, 1, np.array([0.5, 1.0]), -0.25).tolist() == [0.75, 1.5]
+
     def test_domain_guard(self):
         u = SpaceTimeFunction(
             fn=lambda r, t: np.asarray(r, dtype=float),

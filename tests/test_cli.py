@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import petrocheck
-from petrocheck import solver
+from petrocheck import cli, solver
 from petrocheck.cli import main
 from petrocheck.errors import SolverError
 
@@ -23,6 +23,38 @@ def test_cli_import_leaves_scipy_interpolate_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "False"
+
+
+def test_repeated_calls_match_fresh_parsers(capsys):
+    # main parses with one parser per process; calls in a row, a usage
+    # error among them, give what calls on freshly built parsers give
+    calls = [["classify", "--p", "3", "--q", "0.6"],
+             ["classify", "--p", "nan", "--q", "0.6"],
+             ["no-such-command"],
+             ["lemma-check", "--p", "3", "--samples", "5"],
+             ["classify", "--p", "1.5", "--q", "0.3", "--n", "2"],
+             ["classify", "--p", "3"]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            lines = [json.loads(line) if line.startswith("{") else line
+                     for line in out.splitlines()]
+            for line in lines:
+                if isinstance(line, dict):
+                    line.pop("generated_at")
+            seen.append((code, lines, err))
+        return seen
+
+    cli._parser.cache_clear()
+    reused = outcomes(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert reused == outcomes(fresh=True)
+    assert [code for code, _, _ in reused] == [0, 1, 1, 0, 0, 1]
 
 
 class TestLemmaCheck:

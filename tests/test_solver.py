@@ -290,10 +290,11 @@ def reference_march(profile, p, n, f, cfg, secant=True):
     for k in range(1, ts.size):
         t_new = float(ts[k])
         dt = t_new - float(ts[k - 1])
-        bc = float(f(float(profile.zeta(t_new)), t_new))
+        z = float(profile.zeta(t_new))
+        bc = float(f(z, t_new))
         v = rows[-1]
         start = v if k == 1 or not secant else v + (dt / dt_prev) * (v - rows[-2])
-        rows.append(st.step(v, start, t_new, dt, bc, k))
+        rows.append(st.step(v, start, t_new, dt, z, bc, k))
         dt_prev = dt
     return np.array(rows), st.stats
 
@@ -379,7 +380,7 @@ class TestSolverStats:
         bc = float(smooth_data(power_profile.zeta(-0.49), -0.49))
         blocked = Blocked(power_profile, 2.2, 1, cfg)
         with pytest.raises(SolverError, match="stalled at step 1") as err:
-            blocked.step(vold, vold, -0.49, 0.01, bc, 1)
+            blocked.step(vold, vold, -0.49, 0.01, float(power_profile.zeta(-0.49)), bc, 1)
         assert err.value.step == 1 and err.value.t == -0.49
         assert err.value.residual > solver_mod.RESIDUAL_TOL
         stats = blocked.stats
@@ -526,7 +527,7 @@ class TestNewtonSystem:
         # for the x that solve returns, with J the central difference of G
         prof = make_profile("petrovskii_loglog", K=1.0, t0=-0.3)
         st = _Stepper(prof, p, n, SolverConfig(n_y=17))
-        c = st.coefficients(t_new, 1e-3)
+        c = st.coefficients(t_new, 1e-3, float(prof.zeta(t_new)))
         assert c.up == widening
         vold = smooth_data(st.y, t_new)
         v = vold + 0.05 * np.cos(3.0 * st.y)
@@ -551,7 +552,7 @@ class TestNonFinite:
 
     def test_singular_system_raises_solver_error(self, power_profile):
         st = _Stepper(power_profile, 3.0, 1, SolverConfig(n_y=9))
-        c = st.coefficients(-0.5, 0.01)
+        c = st.coefficients(-0.5, 0.01, float(power_profile.zeta(-0.5)))
         zero = np.zeros_like(c.A)
         # first row becomes [0, 1, 0, ...] with nothing below it to pivot on
         c = c._replace(w0=-st.h, wm=zero, A=zero)
@@ -566,8 +567,9 @@ class TestNonFinite:
         st = _Stepper(power_profile, 3.0, 1, SolverConfig(n_y=9))
         d = np.ones(8)
         d[3] = bad
+        c = st.coefficients(-0.5, 0.01, float(power_profile.zeta(-0.5)))
         with pytest.raises(SolverError, match="non-finite Jacobian") as err:
-            st.solve(st.coefficients(-0.5, 0.01), d, np.ones(9), 4, -0.5)
+            st.solve(c, d, np.ones(9), 4, -0.5)
         assert err.value.step == 4
 
 

@@ -6,14 +6,28 @@ import numpy as np
 import pytest
 
 from petrocheck import calculus
-from petrocheck.barriers import BARRIER_KINDS, find_family_threshold, make_barrier
-from petrocheck.calculus import Params, SpaceTimeFunction, barenblatt_function, residual
+from petrocheck import verify as verify_module
+from petrocheck.barriers import (
+    BARRIER_KINDS,
+    FamilyFormula,
+    find_family_threshold,
+    make_barrier,
+)
+from petrocheck.calculus import (
+    Params,
+    SpaceTimeFunction,
+    _closed_residual,
+    barenblatt_function,
+    residual,
+    where,
+)
 from petrocheck.domains import envelope_gauge, make_profile
 from petrocheck.errors import DomainError
 from petrocheck.solver import SolverConfig
 from petrocheck.verify import (
     CertGrid,
     _boundary_samples,
+    _ladder_jets,
     canonical_json,
     check_barrier_family,
     check_comparison,
@@ -465,6 +479,176 @@ class TestBarrierFamily:
         assert isinstance(jk["4"], int)
         assert rep.details["condition_iii_inconclusive"]
         assert not rep.passed and "INCONCLUSIVE" in rep.condition
+
+
+class TestLadderPass:
+    """The family certificate evaluates its whole ladder in one block pass:
+    members on one gauge share kappa chi and the C-free time factors, and
+    each member's value is its jet's."""
+
+    @staticmethod
+    def signed(r, t):
+        # -0.0 near the axis, NaN on the latest time levels, else r^2 t
+        return where(t > -1e-4, r * np.nan, where(r < 0.1 * (-t) ** 0.5, -0.0 * r, r * r * t))
+
+    @pytest.mark.parametrize("p, q, n", [(3.0, 0.5, 1), (4.0, 0.4, 2), (2.5, 0.6, 1)])
+    def test_members_match_a_lone_evaluation(self, monkeypatch, p, q, n):
+        # nine members of a ladder, a formula with signed zeros and NaN, and
+        # a hand-built field, in blocks of 2 rows
+        prof = make_profile("power", K=1.0, q=q, t0=-1.0)
+        gauge = envelope_gauge(prof, p, n)
+        C0, _ = find_family_threshold(p, n, gauge)
+        ladder = [make_barrier("degenerate_family_member", p=p, n=n, q=q, C=C0 * 2 ** j,
+                               gauge=gauge).fn for j in range(9)]
+        fields = ladder + [SpaceTimeFunction.from_formula(self.signed), negate(ladder[0])]
+        monkeypatch.setattr(calculus, "_BLOCK", 600)
+        R, T = make_cert_grid(prof, 37, 256).meshes(prof)
+        pars = Params(p=p, n=n)
+
+        def block(rb, tb):
+            kap_chi, jet_of = _ladder_jets(rb, tb, (pars, gauge))
+            out = [np.broadcast_to(kap_chi.v, rb.shape)]
+            for u in fields:
+                jet = jet_of(u)
+                out += [np.broadcast_to(jet.v, rb.shape), _closed_residual(jet, rb, p, n)]
+            return out
+
+        kap_chi, *arrays = calculus._run_blocks(block, R, T, 1 + 2 * len(fields))
+        pairs = [(kap_chi, pars.kap * pars.chi(R, -T))]
+        for u, value, res in zip(fields, arrays[::2], arrays[1::2]):
+            pairs += [(value, u(R, T)), (res, residual(u, p, n, R, T))]
+        for got, lone in pairs:
+            nan = np.isnan(lone)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got, lone, equal_nan=True)
+            assert np.array_equal(np.signbit(got[~nan]), np.signbit(lone[~nan]))
+        value = arrays[2 * len(ladder)]
+        assert np.isnan(value).any() and (np.signbit(value) & (value == 0.0)).any()
+
+    def test_members_share_one_evaluation_of_the_factors(self, family_setup, monkeypatch):
+        # 19 blocks of 2 rows: the factors are built once per block, and no
+        # member runs its whole formula on the grid; each runs it only for
+        # its rays and its boundary samples
+        prof, _, _, ladder = family_setup
+        monkeypatch.setattr(calculus, "_BLOCK", 600)
+        shared, whole = [], []
+        factors, call = verify_module.family_factors, FamilyFormula.__call__
+        monkeypatch.setattr(verify_module, "family_factors",
+                            lambda *args: shared.append(1) or factors(*args))
+        monkeypatch.setattr(FamilyFormula, "__call__",
+                            lambda self, r, t: whole.append(1) or call(self, r, t))
+        rep = check_barrier_family(ladder, prof, 3.0, 1, grid=make_cert_grid(prof, 37, 256))
+        assert rep.passed
+        assert (len(shared), len(whole)) == (19, 2 * len(ladder))
+
+    def test_changed_member_is_certified_from_its_own_formula(self, family_setup):
+        prof, _, _, ladder = family_setup
+        grid = make_cert_grid(prof, 32, 32)
+        formula = ladder[2].fn.formula
+        changed = SpaceTimeFunction.from_formula(lambda r, t: -formula(r, t))
+        broken = ladder[:2] + [replace(ladder[2], fn=changed)] + ladder[3:]
+        rep = check_barrier_family(broken, prof, 3.0, 1, grid=grid)
+        members = rep.details["condition_i_members"]
+        assert not rep.passed and not members[2]["pass"]
+        assert all(m["pass"] for i, m in enumerate(members) if i != 2)
+        R, T = grid.meshes(prof)
+        alone = check_sign(changed, prof, 3.0, 1, grid=grid)
+        assert members[2]["residual_worst"] == alone.worst_violation < -1e-6
+        assert members[2]["positivity_min"] == changed(R, T).min() < 0.0
+        assert (rep.worst_violation, rep.worst_location) == (alone.worst_violation,
+                                                             alone.worst_location)
+
+    def test_ladder_holds_no_full_size_array_per_member(self, family_setup, monkeypatch):
+        # residuals, values and kappa chi are reduced inside each block, so
+        # the grid's radii are the one full-size array of a certificate; on
+        # one CPU one block's working set comes on top, whatever the grid.
+        # From 256^2 to 512^2 the peak grows by less than two grid arrays
+        prof, _, _, ladder = family_setup
+        monkeypatch.setattr(calculus, "_pool", lambda: None)
+        check_barrier_family(ladder, prof, 3.0, 1, grid=make_cert_grid(prof, 256, 256))  # warm
+        peaks = []
+        for size in (256, 512):
+            grid = make_cert_grid(prof, size, size)
+            tracemalloc.start()
+            try:
+                assert check_barrier_family(ladder, prof, 3.0, 1, grid=grid).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 8 * (512 ** 2 - 256 ** 2)
+
+
+class TestResidualReduction:
+    """Both certificates reduce the residual block by block with one rule,
+    np.nanargmin's: NaN is skipped, +-inf is kept, the first of equal
+    values counts, and every non-finite value is counted and fails."""
+
+    def field(self, grid, prof, res_full):
+        """A hand-built field whose residual on the grid is res_full: dt
+        reads it by time level, and u_r = u_rr = 0, so Lap_p u = 0."""
+        R, T = grid.meshes(prof)
+
+        def dt(r, t):
+            return res_full[np.searchsorted(grid.t_levels, np.asarray(t)[:, 0])]
+
+        def zero(r, t):
+            return np.zeros(np.broadcast(np.asarray(r), np.asarray(t)).shape)
+
+        return SpaceTimeFunction(fn=lambda r, t: 1.0 + zero(r, t), dt=dt, dr=zero, drr=zero,
+                                 label="pattern"), R, T
+
+    @pytest.mark.parametrize("block", [16, 1 << 15])
+    def test_inf_and_nan_residuals(self, family_setup, monkeypatch, block):
+        # 8 blocks of 2 rows: NaN and +inf in block 1, block 2 all NaN, -inf
+        # in block 3 and finite values everywhere else; or one block
+        prof, _, _, ladder = family_setup
+        monkeypatch.setattr(calculus, "_BLOCK", block)
+        grid = make_cert_grid(prof, 16, 8)
+        res = np.linspace(-2.0, 3.0, 16 * 8).reshape(16, 8)
+        res[2, 3], res[3, 1], res[4:6] = np.nan, np.inf, np.nan
+        res[7, 5] = -np.inf
+        u, R, T = self.field(grid, prof, res)
+        location = [float(R[7, 5]), float(T[7, 0])]
+        assert int(np.nanargmin(res)) == 7 * 8 + 5
+        sign = check_sign(u, prof, 3.0, 1, grid=grid)
+        family = check_barrier_family([replace(ladder[0], fn=u)], prof, 3.0, 1, k_max=1,
+                                      grid=grid)
+        for rep in (sign, family):
+            assert rep.worst_violation == -np.inf and list(rep.worst_location) == location
+            assert not rep.passed
+        assert sign.grid["points"] == 16 * 8 - 19
+        assert sign.details == {"non_finite_points": 19,
+                                "first_non_finite_location": [float(R[2, 3]), float(T[2, 0])]}
+        member = family.details["condition_i_members"][0]
+        assert member["residual_worst"] == -np.inf and not member["pass"]
+
+    def test_nan_is_skipped(self, family_setup, monkeypatch):
+        # without -inf the worst is the least finite value, not the +inf
+        # nor the NaN that np.argmin would have returned
+        prof, _, _, ladder = family_setup
+        monkeypatch.setattr(calculus, "_BLOCK", 16)
+        grid = make_cert_grid(prof, 16, 8)
+        res = np.linspace(3.0, -2.0, 16 * 8).reshape(16, 8)
+        res[0, 0], res[9, 2], res[15, 7] = np.inf, np.nan, np.nan
+        u, R, T = self.field(grid, prof, res)
+        for rep in (check_sign(u, prof, 3.0, 1, grid=grid),
+                    check_barrier_family([replace(ladder[0], fn=u)], prof, 3.0, 1, k_max=1,
+                                         grid=grid)):
+            assert rep.worst_violation == res[15, 6]
+            assert list(rep.worst_location) == [float(R[15, 6]), float(T[15, 0])]
+            assert not rep.passed
+
+    def test_no_finite_residual_raises(self, family_setup, monkeypatch):
+        prof, _, _, ladder = family_setup
+        monkeypatch.setattr(calculus, "_BLOCK", 16)
+        grid = make_cert_grid(prof, 16, 8)
+        res = np.full((16, 8), np.nan)
+        res[3, 3], res[12, 0] = np.inf, -np.inf
+        u, _, _ = self.field(grid, prof, res)
+        with pytest.raises(DomainError, match="not finite at any grid point"):
+            check_sign(u, prof, 3.0, 1, grid=grid)
+        with pytest.raises(DomainError, match="not finite at any grid point"):
+            check_barrier_family([replace(ladder[0], fn=u)], prof, 3.0, 1, grid=grid)
 
 
 class TestSolverChecks:
