@@ -53,18 +53,13 @@ __all__ = [
 
 
 def _power_law(amp: float, expo: float):
-    """f(t) = amp (-t)^expo and its derivative f'.  A float t < 0, one
-    point as the solver reads it per time level, takes the same operations
-    on floats: Python's float pow gives what numpy's gives on a 0-d array."""
+    """f(t) = amp (-t)^expo and its derivative f', elementwise on arrays;
+    the solver reads both over its whole time grid in one call each."""
 
     def f(t):
-        if isinstance(t, float) and t < 0.0:
-            return amp * (-t) ** expo
         return amp * (-np.asarray(t, dtype=float)) ** expo
 
     def df(t):
-        if isinstance(t, float) and t < 0.0:
-            return -amp * expo * (-t) ** (expo - 1.0)
         return -amp * expo * (-np.asarray(t, dtype=float)) ** (expo - 1.0)
 
     return f, df

@@ -38,7 +38,10 @@ d = phi'/h at the half points, row i of the tridiagonal Jacobian J is
     J[i, i+1] = -wp_i d_{i+1/2}            (- A_i if u = i + 1)
 
 row 0 is (1 + w0 d_{1/2}, -w0 d_{1/2}) and row N is the identity's.  The
-weights are built once per step and both G and J read them.  J is an
+march reads zeta, zeta' and the lateral datum of every level in one array
+call each before the first step, and each step forms w, w0 and A from its
+level's values as Python floats.  The weights are built once per step and
+both G and J read them.  J is an
 M-matrix at any dt, so the scheme obeys a discrete comparison principle up
 to the nonlinear solve tolerance; the tests check it against the exact
 source solution B(r, t + 2).
@@ -94,6 +97,7 @@ q < 1/p, with the borderline q = 1/p left Unknown.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -140,8 +144,8 @@ PROBE_THRESHOLDS = {"attains_endpoint": 0.1, "attains_ratio": 0.8,
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid, regularization and step-cap settings, checked on construction:
-    n_y >= 3, n_t >= 1, and eps_reg, c_step and a given eps_min positive and
-    finite; anything else raises DomainError."""
+    integers n_y >= 3 and n_t >= 1, and eps_reg, c_step and a given eps_min
+    positive and finite; anything else raises DomainError."""
 
     n_y: int = 129
     n_t: int = 400
@@ -150,6 +154,9 @@ class SolverConfig:
     c_step: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_y", "n_t"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_y < 3 or self.n_t < 1:
             raise DomainError(f"need n_y >= 3 and n_t >= 1, got n_y={self.n_y}, n_t={self.n_t}")
         for name in ("eps_min", "eps_reg", "c_step"):
@@ -174,10 +181,11 @@ class GridField:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("t,y,r,u\n")
-            for k, t in enumerate(self.t_nodes):
-                z = float(self.profile.zeta(t))
-                for i, y in enumerate(self.y_nodes):
-                    fh.write(f"{t:.17g},{y:.17g},{y * z:.17g},{self.values[k, i]:.17g}\n")
+            # the widths as the march read them, in one call over the grid
+            zs = np.asarray(self.profile.zeta(self.t_nodes), dtype=float)
+            for t, z, row in zip(self.t_nodes, zs, self.values):
+                for y, u in zip(self.y_nodes, row):
+                    fh.write(f"{t:.17g},{y:.17g},{y * z:.17g},{u:.17g}\n")
 
     def check_max_principle(self) -> bool:
         """Whether every value lies within the range of the data."""
@@ -269,8 +277,8 @@ class _Stepper:
     backtrack).
     """
 
-    def __init__(self, profile, p, n, cfg):
-        self.profile, self.p, self.n, self.cfg = profile, p, n, cfg
+    def __init__(self, p, n, cfg):
+        self.p, self.n, self.cfg = p, n, cfg
         self.y = np.linspace(0.0, 1.0, cfg.n_y)
         self.h = self.y[1] - self.y[0]
         # y_i^(1-n) y_{i+-1/2}^(n-1) / h at the interior nodes i
@@ -287,16 +295,15 @@ class _Stepper:
         self.stats = {"steps": 0, "settled_steps": 0, "newton_iterations": 0,
                       "assemblies": 0, "backtracks": 0, "worst_residual": 0.0}
 
-    def _scalars(self, t_new, dt, z):
+    def _scalars(self, dt, z, dz):
         """w = dt zeta^-p, the symmetry weight w0, the advection factor
-        a = dt |zeta'/zeta| / h and the upwind side of the step to t_new,
-        where the width is z = zeta(t_new)."""
-        dz = float(self.profile.dzeta(t_new))
+        a = dt |zeta'/zeta| / h and the upwind side of a step of length dt
+        to a level where the width is z = zeta and its rate dz = zeta'."""
         w = dt * z ** (-self.p)
         return w, w * self.n / (self.h / 2.0), dt * abs(dz / z) / self.h, dz > 0.0
 
-    def coefficients(self, t_new, dt, z) -> _StepCoefficients:
-        w, w0, a, up = self._scalars(t_new, dt, z)
+    def coefficients(self, dt, z, dz) -> _StepCoefficients:
+        w, w0, a, up = self._scalars(dt, z, dz)
         return _StepCoefficients(w0=w0, wp=w * self.geom_plus, wm=w * self.geom_minus,
                                  up=up, A=a * self.y[1:-1])
 
@@ -346,14 +353,15 @@ class _Stepper:
                               step=step_index, t=t_new)
         return x
 
-    def settle(self, start, t_new, dt, z, bc):
-        """The step to t_new from a still level: the previous level and start
-        equal the finite datum bc everywhere.  Every term of G is then exactly
-        0 at start, so Newton would accept it as it is; this returns start
-        with its Dirichlet node set to bc without assembling G.  Returns None
-        if a weight of the step or phi(0) is not finite, where G is not 0
-        and `step` fails as it would from any start."""
-        w, w0, a, _ = self._scalars(t_new, dt, z)
+    def settle(self, start, dt, z, dz, bc):
+        """The step of length dt to a level of width z and rate dz from a
+        still level: the previous level and start equal the finite datum bc
+        everywhere.  Every term of G is then exactly 0 at start, so Newton
+        would accept it as it is; this returns start with its Dirichlet node
+        set to bc without assembling G.  Returns None if a weight of the
+        step or phi(0) is not finite, where G is not 0 and `step` fails as it
+        would from any start."""
+        w, w0, a, _ = self._scalars(dt, z, dz)
         if not (self.flat_flux_is_zero
                 and math.isfinite(w0) and math.isfinite(w * self.geom_max)
                 and math.isfinite(a)):
@@ -364,9 +372,10 @@ class _Stepper:
         self.stats["settled_steps"] += 1
         return v
 
-    def step(self, vold, start, t_new, dt, z, bc, step_index):
-        """Solve the step from vold to t_new, where the width is z, by Newton,
-        started at start with its Dirichlet node set to bc.
+    def step(self, vold, start, t_new, dt, z, dz, bc, step_index):
+        """Solve the step from vold to t_new, where the width is z and its
+        rate dz, by Newton, started at start with its Dirichlet node set to
+        bc.
 
         Each Newton iterate costs one assembly: an accepted line-search
         trial's residual is the next iterate's, and its flux derivative is
@@ -374,7 +383,7 @@ class _Stepper:
         _NEWTON_MAX iterations, or when all twelve trials of a line search
         fail.
         """
-        c = self.coefficients(t_new, dt, z)
+        c = self.coefficients(dt, z, dz)
         stats = self.stats
         # nonmonotone acceptance for p >= 2: degenerate fronts (flat slopes)
         # converge through transient residual increases, so damp only on
@@ -423,9 +432,12 @@ def solve_dirichlet(
 ) -> GridField:
     """March the discrete Dirichlet problem from t0 toward 0 on time_grid.
 
-    f(r, t) supplies the parabolic boundary data: the bottom slice at t0 and
-    the lateral value f(zeta(t), t) at each time level.  Returns the full
-    space-time field up to -eps_min.
+    f(r, t) supplies the parabolic boundary data and must act elementwise on
+    arrays: it is called twice, on the bottom slice (r = y zeta(t0) at t0)
+    and on the lateral points (zeta(t), t) of every later level at once.
+    zeta and zeta' are read over the whole time grid in one call each,
+    before the first step.  Returns the full space-time field up to
+    -eps_min.
     """
     Params(p=p, n=n)            # rejects bad p and n before any step
     if profile.dzeta is None:
@@ -434,35 +446,34 @@ def solve_dirichlet(
             "the monotone spline built by profile_from_samples)"
         )
     ts = time_grid(profile, p, cfg)
-    stepper = _Stepper(profile, p, n, cfg)
+    stepper = _Stepper(p, n, cfg)
     y = stepper.y
-    v = np.asarray(f(y * float(profile.zeta(ts[0])), ts[0]), dtype=float).copy()
+    zs = np.asarray(profile.zeta(ts), dtype=float)
+    v = np.asarray(f(y * zs[0], ts[0]), dtype=float).copy()
+    lateral = np.asarray(f(zs[1:], ts[1:]), dtype=float)
     values = np.empty((ts.size, y.size))
     values[0] = v
-    data_min = float(v.min())
-    data_max = float(v.max())
+    # as Python floats, the per-level weights keep the scalar arithmetic
+    t, dzs = ts.tolist(), np.asarray(profile.dzeta(ts), dtype=float).tolist()
+    levels = zip(t[1:], zs.tolist()[1:], dzs[1:], lateral.tolist())
     # a finite constant bottom slice c stays still while the lateral datum
     # is c; the first other datum ends the run of settled levels
-    c = data_min
-    still = c == data_max and math.isfinite(c)
-    for k in range(1, ts.size):
-        t_new = float(ts[k])
-        dt = t_new - float(ts[k - 1])
-        z = float(profile.zeta(t_new))          # read once per level
-        bc = float(f(z, t_new))
-        data_min = min(data_min, bc)
-        data_max = max(data_max, bc)
+    c = float(v.min())
+    still = c == float(v.max()) and math.isfinite(c)
+    for k, (t_new, z, dz, bc) in enumerate(levels, 1):
+        dt = t_new - t[k - 1]
         # Newton starts from the secant extrapolation of the last two levels
         start = v if k == 1 else v + (dt / dt_prev) * (v - values[k - 2])
-        settled = stepper.settle(start, t_new, dt, z, bc) if still and bc == c else None
+        settled = stepper.settle(start, dt, z, dz, bc) if still and bc == c else None
         still = settled is not None
-        v = settled if still else stepper.step(v, start, t_new, dt, z, bc, k)
+        v = settled if still else stepper.step(v, start, t_new, dt, z, dz, bc, k)
         values[k] = v
         dt_prev = dt
 
     return GridField(
         y_nodes=y, t_nodes=ts, values=values, profile=profile,
-        meta={"data_min": data_min, "data_max": data_max,
+        meta={"data_min": float(min(values[0].min(), lateral.min())),
+              "data_max": float(max(values[0].max(), lateral.max())),
               "stats": dict(stepper.stats)},
     )
 
@@ -471,14 +482,14 @@ def default_probe(r, t):
     """Boundary datum isolating the tip: min{1, |(x,t)|/0.1}, so f(0,0) = 0.
 
     The datum of every probe_origin run; any continuous datum with an
-    isolated tip value would do.
+    isolated tip value would do.  Elementwise on arrays, as the march reads
+    it.  On a wide cusp r^2 may overflow to inf, where min(1, inf) = 1 is
+    exact, so the overflow is not reported.
     """
-    if isinstance(r, float) and isinstance(t, float):
-        # the march reads one point per level: the same operations on floats
-        return min(math.sqrt(r * r + t * t) / 0.1, 1.0)
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    out = np.minimum(1.0, np.sqrt(r * r + t * t) / 0.1)
+    with np.errstate(over="ignore"):
+        out = np.minimum(1.0, np.sqrt(r * r + t * t) / 0.1)
     return out if out.ndim else float(out)
 
 

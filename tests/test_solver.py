@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,7 @@ class TestSolveDirichlet:
         dict(n_y=2), dict(n_t=0), dict(n_t=-5), dict(eps_reg=0.0), dict(eps_reg=-1e-8),
         dict(eps_reg=np.nan), dict(c_step=0.0), dict(c_step=-1.0), dict(c_step=np.inf),
         dict(eps_min=0.0), dict(eps_min=-1e-3), dict(eps_min=np.nan),
+        dict(n_y=65.0), dict(n_t=200.5),
     ])
     def test_config_rejects_bad_settings(self, setting):
         with pytest.raises(DomainError, match=next(iter(setting))):
@@ -280,21 +282,30 @@ def assert_one_assembly_per_iterate(stats):
                                    + stats["newton_iterations"] + stats["backtracks"])
 
 
-def reference_march(profile, p, n, f, cfg, secant=True):
+def reference_march(profile, p, n, f, cfg, secant=True, per_level=False):
     """solve_dirichlet's field with Newton (`_Stepper.step`) at every level,
     started at the secant extrapolation of the last two levels or, with
-    secant=False, at the previous level; and the stepper's stats."""
+    secant=False, at the previous level; and the stepper's stats.  zeta,
+    zeta' and the lateral datum are read as the march reads them, one array
+    call each over the time grid, or with per_level=True by one scalar call
+    per level."""
     ts = time_grid(profile, p, cfg)
-    st = _Stepper(profile, p, n, cfg)
-    rows = [np.asarray(f(st.y * float(profile.zeta(ts[0])), ts[0]), dtype=float)]
+    st = _Stepper(p, n, cfg)
+    if per_level:
+        zs = [float(profile.zeta(t)) for t in ts]
+        dzs = [float(profile.dzeta(t)) for t in ts]
+        bcs = [float(f(z, t)) for z, t in zip(zs[1:], ts[1:])]
+    else:
+        zs = np.asarray(profile.zeta(ts), dtype=float)
+        dzs = np.asarray(profile.dzeta(ts), dtype=float).tolist()
+        bcs = np.asarray(f(zs[1:], ts[1:]), dtype=float).tolist()
+    rows = [np.asarray(f(st.y * zs[0], ts[0]), dtype=float)]
     for k in range(1, ts.size):
         t_new = float(ts[k])
         dt = t_new - float(ts[k - 1])
-        z = float(profile.zeta(t_new))
-        bc = float(f(z, t_new))
         v = rows[-1]
         start = v if k == 1 or not secant else v + (dt / dt_prev) * (v - rows[-2])
-        rows.append(st.step(v, start, t_new, dt, z, bc, k))
+        rows.append(st.step(v, start, t_new, dt, float(zs[k]), dzs[k], bcs[k - 1], k))
         dt_prev = dt
     return np.array(rows), st.stats
 
@@ -378,9 +389,10 @@ class TestSolverStats:
         cfg = SolverConfig(n_y=33)
         vold = smooth_data(np.linspace(0.0, 1.0, 33) * power_profile.zeta(-0.5), -0.5)
         bc = float(smooth_data(power_profile.zeta(-0.49), -0.49))
-        blocked = Blocked(power_profile, 2.2, 1, cfg)
+        blocked = Blocked(2.2, 1, cfg)
         with pytest.raises(SolverError, match="stalled at step 1") as err:
-            blocked.step(vold, vold, -0.49, 0.01, float(power_profile.zeta(-0.49)), bc, 1)
+            blocked.step(vold, vold, -0.49, 0.01, float(power_profile.zeta(-0.49)),
+                         float(power_profile.dzeta(-0.49)), bc, 1)
         assert err.value.step == 1 and err.value.t == -0.49
         assert err.value.residual > solver_mod.RESIDUAL_TOL
         stats = blocked.stats
@@ -405,12 +417,13 @@ def failure(march, *args):
     return type(e), str(e), getattr(e, "step", None), getattr(e, "t", None)
 
 
-def overflowing_at(profile, t_bad, zeta, dzeta=None):
-    """profile, but with the width (and the derivative, if given) replaced
-    where the march reads it at the level t_bad, one scalar call per level;
-    time_grid reads widths in one array call and still sees the profile's."""
+def overflowing_at(profile, ts, k, zeta, dzeta=None):
+    """profile, but with the width (and the derivative, if given) at the
+    level ts[k] replaced in the march's reads over its time grid ts;
+    time_grid reads the widths at its n_t interval ends, fewer points than
+    ts, and still sees the profile's."""
     def at_bad(g, value):
-        return lambda t: value if np.ndim(t) == 0 and t == t_bad else g(t)
+        return lambda t: np.where(t == ts[k], value, g(t)) if np.shape(t) == ts.shape else g(t)
     return DomainProfile(kind="tabulated", t0=profile.t0,
                          zeta=at_bad(profile.zeta, zeta),
                          dzeta=profile.dzeta if dzeta is None else at_bad(profile.dzeta, dzeta))
@@ -491,7 +504,7 @@ class TestStillLevels:
         cfg = SolverConfig(n_y=33, n_t=11, eps_min=0.1)
         ts = time_grid(power_profile, p, cfg)
         t_bad, dt = ts[5], float(ts[5] - ts[4])
-        prof = overflowing_at(power_profile, t_bad, (dt / w) ** (1.0 / p), dzeta)
+        prof = overflowing_at(power_profile, ts, 5, (dt / w) ** (1.0 / p), dzeta)
         args = (prof, p, n, lambda r, t: 0.5 + 0.0 * np.asarray(r, dtype=float), cfg)
         got = failure(solve_dirichlet, *args)
         assert got == failure(reference_march, *args)
@@ -514,6 +527,60 @@ class TestStillLevels:
         assert got[0] is SolverError and got[2] == 1
 
 
+def gapped_data(r, t):
+    """smooth_data plus a non-negative gap: the upper datum of a criterion-8 pair."""
+    return smooth_data(r, t) + 0.3 * np.sin(3.0 * np.asarray(r, dtype=float)) ** 2 * np.cos(t) ** 2
+
+
+class TestBoundaryReads:
+    """The march reads zeta, zeta' and the datum over its whole time grid
+    before the first step.  Those array reads may round a width or a rate
+    one ulp away from a scalar call (numpy's array pow), which moves fields
+    by roundoff and nothing else."""
+
+    def test_one_call_of_each_per_solve(self, power_profile):
+        shapes = {"zeta": [], "dzeta": [], "f": []}
+
+        def counted(name, g):
+            def read(first, *rest):
+                shapes[name].append(np.shape(first))
+                return g(first, *rest)
+            return read
+
+        prof = replace(power_profile, zeta=counted("zeta", power_profile.zeta),
+                       dzeta=counted("dzeta", power_profile.dzeta))
+        cfg = SolverConfig(n_y=33, n_t=50, eps_min=1e-2)
+        fld = solve_dirichlet(prof, 3.0, 1, counted("f", default_probe), cfg)
+        levels = fld.t_nodes.shape
+        assert levels[0] > cfg.n_t + 1                  # the cap subdivides
+        # time_grid reads the widths at its n_t interval ends; the march
+        # reads zeta and zeta' at every level, the datum on the bottom slice
+        # and at the lateral points of the later levels
+        assert shapes["zeta"] == [(cfg.n_t,), levels]
+        assert shapes["dzeta"] == [levels]
+        assert shapes["f"] == [(cfg.n_y,), (levels[0] - 1,)]
+        np.testing.assert_array_equal(
+            fld.values, solve_dirichlet(power_profile, 3.0, 1, default_probe, cfg).values)
+
+    @pytest.mark.parametrize("p, q, f, cfg", [
+        pytest.param(3.0, 0.6, default_probe, SolverConfig(**_default_ladder(-1.0)[2]),
+                     id="rung-3-(3, 0.6, 1)"),
+        pytest.param(1.5, 0.3, default_probe, SolverConfig(**_default_ladder(-1.0)[2]),
+                     id="rung-3-(1.5, 0.3, 1)"),
+        pytest.param(3.0, 0.5, smooth_data, CRIT8_GRID, id="criterion-8-lower"),
+        pytest.param(3.0, 0.5, gapped_data, CRIT8_GRID, id="criterion-8-upper"),
+    ])
+    def test_fields_within_roundoff_of_per_level_reads(self, p, q, f, cfg):
+        prof = make_profile("power", K=1.0, q=q, t0=-1.0)
+        fld = solve_dirichlet(prof, p, 1, f, cfg)
+        ref, ref_stats = reference_march(prof, p, 1, f, cfg, per_level=True)
+        assert float(np.max(np.abs(fld.values - ref))) <= 1e-14
+        stats = fld.meta["stats"]
+        assert stats["assemblies"] == ref_stats["assemblies"] - stats["settled_steps"]
+        for key in ("steps", "newton_iterations", "backtracks"):
+            assert stats[key] == ref_stats[key]
+
+
 class TestNewtonSystem:
     # ids of the (3, 2) cases are the time level alone
     @pytest.mark.parametrize("p, n, t_new, widening", [
@@ -526,8 +593,8 @@ class TestNewtonSystem:
         # the two levels upwind to opposite neighbours; on both, J x = rhs
         # for the x that solve returns, with J the central difference of G
         prof = make_profile("petrovskii_loglog", K=1.0, t0=-0.3)
-        st = _Stepper(prof, p, n, SolverConfig(n_y=17))
-        c = st.coefficients(t_new, 1e-3, float(prof.zeta(t_new)))
+        st = _Stepper(p, n, SolverConfig(n_y=17))
+        c = st.coefficients(1e-3, float(prof.zeta(t_new)), float(prof.dzeta(t_new)))
         assert c.up == widening
         vold = smooth_data(st.y, t_new)
         v = vold + 0.05 * np.cos(3.0 * st.y)
@@ -544,15 +611,16 @@ class TestNonFinite:
     def test_nan_data_at_one_level_raises_solver_error(self, power_profile):
         cfg = SolverConfig(n_y=17, n_t=11, eps_min=0.1)
         bad_t = time_grid(power_profile, 3.0, cfg)[5]
-        f = lambda r, t: np.nan if t == bad_t else 0.5 + 0.0 * np.asarray(r, dtype=float)
+        f = lambda r, t: np.where(t == bad_t, np.nan, 0.5 + 0.0 * np.asarray(r, dtype=float))
         with pytest.raises(SolverError) as err:
             solve_dirichlet(power_profile, 3.0, 1, f, cfg)
         assert err.value.step == 5
         assert err.value.t == bad_t
 
     def test_singular_system_raises_solver_error(self, power_profile):
-        st = _Stepper(power_profile, 3.0, 1, SolverConfig(n_y=9))
-        c = st.coefficients(-0.5, 0.01, float(power_profile.zeta(-0.5)))
+        st = _Stepper(3.0, 1, SolverConfig(n_y=9))
+        c = st.coefficients(0.01, float(power_profile.zeta(-0.5)),
+                            float(power_profile.dzeta(-0.5)))
         zero = np.zeros_like(c.A)
         # first row becomes [0, 1, 0, ...] with nothing below it to pivot on
         c = c._replace(w0=-st.h, wm=zero, A=zero)
@@ -564,10 +632,11 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_jacobian_raises_solver_error(self, power_profile, bad):
-        st = _Stepper(power_profile, 3.0, 1, SolverConfig(n_y=9))
+        st = _Stepper(3.0, 1, SolverConfig(n_y=9))
         d = np.ones(8)
         d[3] = bad
-        c = st.coefficients(-0.5, 0.01, float(power_profile.zeta(-0.5)))
+        c = st.coefficients(0.01, float(power_profile.zeta(-0.5)),
+                            float(power_profile.dzeta(-0.5)))
         with pytest.raises(SolverError, match="non-finite Jacobian") as err:
             st.solve(c, d, np.ones(9), 4, -0.5)
         assert err.value.step == 4
@@ -585,8 +654,8 @@ class TestProbe:
         assert out["trend"] == "inconclusive"
 
     def test_default_probe_reads_a_point_as_its_array_form(self):
-        # the march calls it with two floats; that path must give the array
-        # form's value bit for bit, signed zeros and NaN included
+        # called with two floats it must give the array form's value bit for
+        # bit, signed zeros and NaN included
         pts = np.array([0.0, -0.0, 1e-3, 0.07071067811865475, 0.1, -0.3, 1e200,
                         np.inf, -np.inf, np.nan, 5e-324])
         pts = np.concatenate([pts, np.random.default_rng(0).uniform(-0.15, 0.15, 60)])
@@ -597,6 +666,18 @@ class TestProbe:
                         for ra, ta in zip(r, t)])
         np.testing.assert_array_equal(one, grid)
         np.testing.assert_array_equal(np.signbit(one), np.signbit(grid))
+
+    def test_default_probe_on_a_wide_cusp_warns_of_nothing(self):
+        # r^2 overflows to inf at r = 1e200, where min(1, inf) = 1 is exact;
+        # the suite turns numpy's overflow warning into an error
+        r = np.array([0.0, 0.05, 1e200, 1e300])
+        t = np.full(4, -1e-3)
+        with np.errstate(over="ignore"):
+            expect = np.minimum(1.0, np.sqrt(r * r + t * t) / 0.1)
+        np.testing.assert_array_equal(default_probe(r, t), expect)
+        assert expect[2:].tolist() == [1.0, 1.0]
+        out = classify(4.0, 0.5, K=1e200, with_probe=True)
+        assert len(out.meta["probe"]["endpoints"]) == 3
 
     def test_thresholds_reported(self, power_profile, monkeypatch):
         short_ladder(monkeypatch, [{"eps_min": 1e-1, "n_y": 17, "n_t": 30}])
