@@ -337,11 +337,17 @@ def find_family_threshold(p: float, n: int, gauge: Gauge):
     tol = 1e-12
 
     def margins(C):
-        cpow = C ** (1.0 / (p - 2.0))
-        a = C - kap * d                                   # >= 0 wanted
-        b = (p - 1.0) / p * cpow * d - ((C + kap * d) ** m - C ** m)
-        h = -(-cpow * dd + (2.0 * C) ** (1.0 / (p - 2.0)) * d / (lam ** (p / (p - 1.0)) * (-ts))
-              - (n / lam) * C ** m * d / (-ts))           # >= 0 wanted
+        try:
+            with np.errstate(over="raise"):
+                cpow = C ** (1.0 / (p - 2.0))
+                a = C - kap * d                                   # >= 0 wanted
+                b = (p - 1.0) / p * cpow * d - ((C + kap * d) ** m - C ** m)
+                h = -(-cpow * dd + (2.0 * C) ** (1.0 / (p - 2.0)) * d
+                      / (lam ** (p / (p - 1.0)) * (-ts))
+                      - (n / lam) * C ** m * d / (-ts))           # >= 0 wanted
+        except (OverflowError, FloatingPointError):
+            raise DomainError(f"no admissible C found: the powers of C = {C} overflow "
+                              f"at p={p}") from None
         return float(a.min()), float(b.min()), float(h.min())
 
     C = 1.0

@@ -311,48 +311,33 @@ def _formula_jet(formula, r, t):
     return _jet(formula(Jet(r, 0.0, 1.0), Jet(t, 1.0)))
 
 
-def _derivatives(formula, r, t):
-    jet = _formula_jet(formula, r, t)
-    return jet.t, jet.r, jet.rr
-
-
 def _evaluate(formula, r, t):
     return _run_blocks(lambda rb, tb: (formula(rb, tb),), r, t, 1)[0]
 
 
-def _jet_pass(formula, r, t):
-    """(u_t, u_r, u_rr) of a formula at (r, t), each of the broadcast shape.
-
-    The formula runs on the jets of each block of `_run_blocks`, so a t-only
-    factor and its t-derivative are computed once per time level and only
-    the r-dependent terms run on the full block.  Every jet operation is
-    elementwise, so neither the blocks nor the kept axes change a value.
-    """
-    return _run_blocks(partial(_derivatives, formula), r, t, 3)
+def _jet_component(formula, name, r, t):
+    """The derivative of a formula named by its jet attribute ("t", "r" or
+    "rr") at (r, t), a block at a time."""
+    return _run_blocks(lambda rb, tb: (getattr(_formula_jet(formula, rb, tb), name),), r, t, 1)[0]
 
 
-def _jet_component(formula, index, r, t):
-    return _jet_pass(formula, r, t)[index]
-
-
-def _field_jet(u, r, t, values=False, jet=None):
-    """The jet of the field u at the points (r, t) of one block.
+def _field_jet(u, r, t, jet=None):
+    """The jet of the field u, with fn's value, at the points (r, t) of one
+    block; the one place that asks what kind of field u is.
 
     A formula field's derivatives are those of jet, its formula's jet there
     when the caller has built it, else of its formula run on the jets of r
-    and t; a hand-built field's are its dt, dr and drr.  With values the
-    jet's value is fn's.  Where fn is the formula's own, as from_formula
-    makes it, that is the formula jet's value: the jet operations apply
-    the same array operations to it.  Any other fn runs on (r, t).
-    Without values a hand-built field's value is None.
+    and t.  Where fn is the formula's own, as from_formula makes it, the
+    value is the formula jet's, since the jet operations apply the same
+    array operations to it; any other fn runs on (r, t).  A hand-built
+    field's value and derivatives are its fn, dt, dr and drr there.
     """
     if u.formula is None:
-        return Jet(u.fn(r, t) if values else None,
-                   *(np.asarray(d(r, t), dtype=float) for d in (u.dt, u.dr, u.drr)))
+        return Jet(*(np.asarray(g(r, t), dtype=float) for g in (u.fn, u.dt, u.dr, u.drr)))
     if jet is None:
         jet = _formula_jet(u.formula, r, t)
     own = getattr(u.fn, "func", None) is _evaluate and u.fn.args == (u.formula,)
-    return jet if own or not values else Jet(u.fn(r, t), jet.t, jet.r, jet.rr)
+    return jet if own else Jet(u.fn(r, t), jet.t, jet.r, jet.rr)
 
 
 @dataclass(frozen=True)
@@ -360,10 +345,11 @@ class SpaceTimeFunction:
     """An evaluable radial scalar field u(r, t) with optional closed forms.
 
     fn evaluates the field; dt, dr, drr are closed-form time/radial
-    derivatives when available (all vectorized over numpy arrays).
-    in_domain, when given, is the validity predicate of the formulas.
-    A field built by `from_formula` keeps its formula, and `derivatives`
-    then takes all three derivatives from one jet pass.
+    derivatives when available (all vectorized over numpy arrays, and
+    elementwise in (r, t): `derivatives` and the certificates call them a
+    block of rows at a time).  in_domain, when given, is the validity
+    predicate of the formulas.  A field built by `from_formula` keeps its
+    formula, and its derivatives then come from one jet pass.
     """
 
     fn: Callable
@@ -381,23 +367,24 @@ class SpaceTimeFunction:
         jets, both a block at a time by `_run_blocks`; the formula must be
         elementwise in (r, t)."""
         return cls(fn=partial(_evaluate, formula),
-                   dt=partial(_jet_component, formula, 0),
-                   dr=partial(_jet_component, formula, 1),
-                   drr=partial(_jet_component, formula, 2),
+                   dt=partial(_jet_component, formula, "t"),
+                   dr=partial(_jet_component, formula, "r"),
+                   drr=partial(_jet_component, formula, "rr"),
                    label=label, in_domain=in_domain, formula=formula)
 
     def __call__(self, r, t):
         return self.fn(r, t)
 
-    @property
-    def has_closed_derivatives(self) -> bool:
-        return self.dt is not None and self.dr is not None and self.drr is not None
-
     def derivatives(self, r, t):
-        """(u_t, u_r, u_rr) at (r, t)."""
-        if self.formula is not None:
-            return _jet_pass(self.formula, r, t)
-        return self.dt(r, t), self.dr(r, t), self.drr(r, t)
+        """(u_t, u_r, u_rr) at (r, t), from the field's jet (`_field_jet`) a
+        block of rows at a time; a t-only factor of a formula and its
+        t-derivative are computed once per time level.  Every jet operation
+        is elementwise, so neither the blocks nor the kept axes change a
+        value."""
+        def block(rb, tb):
+            jet = _field_jet(self, rb, tb)
+            return jet.t, jet.r, jet.rr
+        return _run_blocks(block, r, t, 3)
 
 
 def _phi(s, p):
@@ -426,8 +413,11 @@ def p_laplacian_radial_power(C: float, alpha: float, p: float, n: int, r) -> np.
             f"output exponent {expo} is negative; r must be strictly positive"
         )
     ca = C * alpha
-    coeff = ca * abs(ca) ** (p - 2.0) * (n + expo)
-    return _unwrap(coeff * r ** expo)
+    try:
+        with np.errstate(over="raise"):
+            return _unwrap(ca * abs(ca) ** (p - 2.0) * (n + expo) * r ** expo)
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"|C alpha|^(p-2) or r^{expo} overflows at p={p}") from None
 
 
 def _richardson(d, h):
@@ -437,26 +427,26 @@ def _richardson(d, h):
 
 
 def p_laplacian_radial_fd(u, p: float, n: int, r, t, h=1e-3):
-    """Fourth-order conservative finite-difference oracle for Lap_p u at (r, t).
+    """Fourth-order conservative finite-difference oracle for Lap_p u at (r, t),
+    where u is any callable u(r, t), a SpaceTimeFunction among them.
 
     Discretizes r^(1-n) d/dr ( r^(n-1) |u_r|^(p-2) u_r ) with centered slopes
     at the half points r +- k/2 for the steps k = h and h/2, and
     Richardson-extrapolates the two.  One difference carries a rounding
     error of about eps |u| phi'(u_r) / k^2 (1.4e-6 for u = 2r at r = 2,
     p = 5, k = 1e-4); the extrapolation keeps the truncation error small at
-    steps where that floor stays far below 1e-6.  Independent of any closed
-    form attached to u.  Meaningless at points where u is not smooth; the
-    caller must keep h < r/2.  r, t and h may be arrays of one broadcast
-    shape.
+    steps where that floor stays far below 1e-6.  It only calls u, so it is
+    independent of any closed form attached to it.  Meaningless at points
+    where u is not smooth; the caller must keep h < r/2.  r, t and h may be
+    arrays of one broadcast shape.
     """
     if not np.all((0 < h) & (h < r / 2)):
         raise DomainError(f"need 0 < h < r/2, got h={h}, r={r}")
-    fn = u.fn if isinstance(u, SpaceTimeFunction) else u
-    u0 = fn(r, t)
+    u0 = u(r, t)
 
     def difference(k):
-        s_plus = (fn(r + k, t) - u0) / k
-        s_minus = (u0 - fn(r - k, t)) / k
+        s_plus = (u(r + k, t) - u0) / k
+        s_minus = (u0 - u(r - k, t)) / k
         f_plus = (r + k / 2.0) ** (n - 1) * _phi(s_plus, p)
         f_minus = (r - k / 2.0) ** (n - 1) * _phi(s_minus, p)
         return r ** (1 - n) * (f_plus - f_minus) / k
@@ -538,7 +528,7 @@ def _admit(u: SpaceTimeFunction, r, t, closed: bool):
     field without closed-form derivatives."""
     if u.in_domain is not None and not np.all(u.in_domain(r, t)):
         raise DomainError(f"evaluation outside the domain of {u.label!r}")
-    if closed and not u.has_closed_derivatives:
+    if closed and any(d is None for d in (u.dt, u.dr, u.drr)):
         raise DomainError(f"{u.label!r} has no closed-form derivatives")
 
 
@@ -575,7 +565,7 @@ def residual(
         t = np.asarray(t, dtype=float)
         # the oracle checks the step before anything divides by it
         lap = p_laplacian_radial_fd(u, p, n, r, t, h=np.minimum(h, r / 4.0))
-        dtu = _richardson(lambda k: (u.fn(r, t + k) - u.fn(r, t - k)) / (2.0 * k),
+        dtu = _richardson(lambda k: (u(r, t + k) - u(r, t - k)) / (2.0 * k),
                           h * np.maximum(np.abs(t), 1.0))
         return _unwrap(np.asarray(dtu - lap, dtype=float))
     raise ValueError(f"unknown method {method!r}")

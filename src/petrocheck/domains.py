@@ -359,6 +359,7 @@ def scale_domain(profile: DomainProfile, a: float, p: float):
     Returns (scaled profile with width a zeta, factor a^(-p/(p-2))) such that
     u(x, t) = factor * u_tilde(a x, t) maps solutions on the scaled domain to
     solutions on the original one.  No such invariance exists for p = 2.
+    A factor that overflows, or underflows to 0, raises DomainError.
     """
     if p == 2:
         raise DomainError("p = 2 has no amplitude scaling invariance")
@@ -366,7 +367,12 @@ def scale_domain(profile: DomainProfile, a: float, p: float):
         raise DomainError(f"p must exceed 1, got {p}")
     if a <= 0:
         raise DomainError(f"scale must be positive, got {a}")
-    factor = a ** (-p / (p - 2.0))
+    try:
+        factor = float(a) ** (-p / (p - 2.0))
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise DomainError(f"the amplitude factor a^(-p/(p-2)) is {factor} for a={a}, p={p}")
     if profile.kind in ("power", "petrovskii_loglog"):
         return make_profile(profile.kind, K=a * profile.K, q=profile.q, t0=profile.t0), factor
     zeta, dzeta = profile.zeta, profile.dzeta

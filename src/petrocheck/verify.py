@@ -9,17 +9,19 @@ approach sequences.  Each certificate builds its grid's meshes once.  On the
 grid both certificates make one pass of blocks of rows
 (`calculus._map_blocks`), on every CPU the process may use: in each block a
 field's residual is formed from its jet and reduced at once
-(`_residual_minimum`), and the barrier family evaluates its whole ladder
-there, its members sharing kappa chi and the C-free time factors and taking
-their values from the same jets.  No full-size residual or value array is
+(`_residual_minimum`), and so is its value, which the jet carries; the
+barrier family evaluates its whole ladder there, its members sharing kappa
+chi and the C-free time factors.  No full-size residual or value array is
 made.  Each block keeps only exact minima, maxima and counts with their
 first flat indices, and the blocks' numbers are merged in row order, so a
 report is the same whatever the split or the number of CPUs.  On the decay
 rays and on the boundary samples the family evaluates each member once.
 Every reduction follows numpy's rules, so a NaN anywhere fails the
-condition it enters.  Identical inputs therefore produce bit-identical
-reports: grids are deterministic, reductions are index-ordered, and the
-JSON form is canonically sorted with 17-significant-digit floats; the
+condition it enters, and a residual or value that is NaN or +-inf at any
+sample fails its certificate, which counts such numbers and locates the
+first.  Identical inputs therefore produce bit-identical reports: grids are
+deterministic, reductions are index-ordered, and the JSON form is
+canonically sorted with each float in its shortest round-trip repr; the
 report hash excludes the timestamp field.
 """
 
@@ -67,9 +69,9 @@ _N_RAYS = 8               # family certificate: decay rays
 
 
 def canonical_json(obj) -> str:
-    """Deterministic RFC 8259 JSON: sorted keys, floats at 17 significant
-    digits, and a non-finite float as the string "NaN", "Infinity" or
-    "-Infinity"."""
+    """Deterministic RFC 8259 JSON: sorted keys, each finite float in
+    Python's shortest repr that reads back as the same double, and a
+    non-finite float as the string "NaN", "Infinity" or "-Infinity"."""
 
     def walk(o):
         if isinstance(o, dict):
@@ -78,7 +80,7 @@ def canonical_json(obj) -> str:
             return [walk(v) for v in o]
         if isinstance(o, (np.floating, float)):
             x = float(o)
-            return float(f"{x:.17g}") if math.isfinite(x) else json.dumps(x)
+            return x if math.isfinite(x) else json.dumps(x)
         if isinstance(o, (np.integer,)):
             return int(o)
         if isinstance(o, np.ndarray):
@@ -193,8 +195,16 @@ class _Minimum(NamedTuple):
     worst: Optional[float]  # least value that is not NaN (None if all are)
     index: int              # flat index of its first occurrence
     finite: int             # count of finite values
-    non_finite: int         # count of the others
-    first_non_finite: int   # flat index of the first of them (-1 if none)
+    bad: tuple              # count of the others, and flat index of the first (`_non_finite`)
+
+
+def _non_finite(values, start: int):
+    """(count, first flat index) of the non-finite values of one block
+    whose first point has the flat index start; the index is -1 when every
+    value is finite."""
+    finite = np.isfinite(values)
+    count = finite.size - int(np.count_nonzero(finite))
+    return count, (start + int(np.argmin(finite)) if count else -1)
 
 
 def _residual_minimum(res, start: int) -> _Minimum:
@@ -207,49 +217,73 @@ def _residual_minimum(res, start: int) -> _Minimum:
     non-finite.
     """
     flat = res.reshape(-1)
-    finite = np.isfinite(flat)
-    count = int(np.count_nonzero(finite))
-    if count == flat.size:
+    bad = _non_finite(flat, start)
+    if not bad[0]:
         index = int(np.argmin(flat))
-        return _Minimum(float(flat[index]), start + index, count, 0, -1)
-    first = start + int(np.argmin(finite))
+        return _Minimum(float(flat[index]), start + index, flat.size, bad)
     if np.isnan(flat).all():
-        return _Minimum(None, -1, 0, flat.size, first)
+        return _Minimum(None, -1, 0, bad)
     index = int(np.nanargmin(flat))
-    return _Minimum(float(flat[index]), start + index, count, flat.size - count, first)
+    return _Minimum(float(flat[index]), start + index, flat.size - bad[0], bad)
 
 
-def _merge_minima(blocks: Sequence[_Minimum], R, T):
-    """(worst, index, points, details) of a residual from its blocks'
-    minima in row order, as `_residual_minimum` gives them for one block of
-    the whole grid: worst at its first flat index, points the finite count,
-    and details, empty when every residual is finite, the count and the
-    location of the first of the others.  A residual that is finite
-    nowhere raises DomainError."""
-    points = sum(m.finite for m in blocks)
+_VALUE_KEYS = ("non_finite_values", "first_non_finite_value_location")
+
+
+def _flagged(pairs, locate, keys) -> dict:
+    """Details that name non-finite numbers: empty when none of the
+    (count, first index) pairs counts any, else keys[0] with the total
+    count and keys[1] with the location, locate(index), of the first."""
+    bad = [pair for pair in pairs if pair[0]]
+    return {keys[0]: sum(c for c, _ in bad), keys[1]: list(locate(bad[0][1]))} if bad else {}
+
+
+def _sample_details(values, r, t) -> dict:
+    """The details of the non-finite values among samples taken at (r, t)
+    off the grid; empty when every value is finite."""
+    r, t = np.broadcast_arrays(r, t)
+    return _flagged([_non_finite(values, 0)],
+                    lambda i: (float(r.flat[i]), float(t.flat[i])), _VALUE_KEYS)
+
+
+class _Record(NamedTuple):
+    """One field reduced on the whole certificate grid."""
+
+    worst: float        # least residual that is not NaN
+    index: int          # flat index of its first occurrence
+    points: int         # count of finite residuals
+    lows: np.ndarray    # least value of each time level
+    details: dict       # non-finite residuals and values, counted and located (empty if none)
+
+
+def _merge_record(blocks, R, T) -> _Record:
+    """A field's record from its blocks' reductions in row order: the
+    residual's minimum (`_residual_minimum`), the least value of each of the
+    block's time levels, and its non-finite values (`_non_finite`).  The
+    worst residual is kept at its first flat index, as one block of the
+    whole grid would give it.  A residual that is finite nowhere raises
+    DomainError."""
+    minima, lows, values = zip(*blocks)
+    points = sum(m.finite for m in minima)
     if points == 0:
         raise DomainError("the residual is not finite at any grid point")
-    least = None
-    for m in blocks:
-        if m.worst is not None and (least is None or m.worst < least.worst):
-            least = m
-    details = {}
-    broken = [m for m in blocks if m.non_finite]
-    if broken:
-        details = {"non_finite_points": sum(m.non_finite for m in broken),
-                   "first_non_finite_location": list(_location(R, T, broken[0].first_non_finite))}
-    return least.worst, least.index, points, details
+    least = min((m for m in minima if m.worst is not None), key=lambda m: m.worst)
+    locate = lambda index: _location(R, T, index)
+    details = (_flagged([m.bad for m in minima], locate,
+                        ("non_finite_points", "first_non_finite_location"))
+               | _flagged(values, locate, _VALUE_KEYS))
+    return _Record(least.worst, least.index, points, np.concatenate(lows), details)
 
 
 def _ladder_jets(rb, tb, ladder):
     """kappa chi's jet (None without a ladder) on one block of grid rows
-    (rb, tb), and the function that makes a field's jet there.
+    (rb, tb), and the function that makes a field's jet there, which
+    carries fn's value (`calculus._field_jet`).
 
     Given a ladder (pars, gauge), the C-free factors of the family w_C on
     them are built once, and a field whose formula is a member on them
-    (`FamilyFormula.reads`) forms its jet from those factors; with a ladder
-    each jet's value is fn's.  Any other field is a group of one: its own
-    formula, or its own dt, dr, drr and fn (`calculus._field_jet`)."""
+    (`FamilyFormula.reads`) forms its jet from those factors.  Any other
+    field is a group of one."""
     if ladder is None:
         return None, lambda u: _field_jet(u, rb, tb)
     pars, gauge = ladder
@@ -258,7 +292,7 @@ def _ladder_jets(rb, tb, ladder):
     def jet_of(u):
         f = u.formula
         shared = isinstance(f, FamilyFormula) and f.reads(pars, gauge)
-        return _field_jet(u, rb, tb, True, f.given(*factors) if shared else None)
+        return _field_jet(u, rb, tb, f.given(*factors) if shared else None)
 
     return factors[0], jet_of
 
@@ -268,36 +302,30 @@ def _grid_pass(fields, p, n, R, T, ladder=None):
     `calculus._map_blocks`: inside each block, one field after another, so
     no full-size residual, value or kappa chi array is made.
 
-    Returns (minima, lows, extremes): per field, (worst, index, points,
-    details) of its residual (`_merge_minima`); for a ladder (pars, gauge),
-    per field the least value of each time level, and kappa chi's least
-    and greatest value (NaN if it is NaN anywhere), else None for both.
-    Every number a block keeps is an exact minimum or maximum, so the
-    results do not depend on the split."""
+    Returns (records, extremes): per field one `_Record`, and for a ladder
+    (pars, gauge) kappa chi's least and greatest value in each block (NaN
+    if it is NaN there; no entry without a ladder).  Every number a block
+    keeps is an exact minimum, maximum or count, so the results do not
+    depend on the split."""
     for u in fields:
         _admit(u, R, T, closed=True)
 
     def block(part, rb, tb):
         kap_chi, jet_of = _ladder_jets(rb, tb, ladder)
         start = part.start * R.shape[1]
-        minima, lows = [], []
+        reductions = []
         for u in fields:
             jet = jet_of(u)
             res = np.broadcast_to(_closed_residual(jet, rb, p, n), rb.shape)
-            minima.append(_residual_minimum(res, start))
-            if ladder is not None:
-                lows.append(np.broadcast_to(jet.v, rb.shape).min(axis=1))
-            del jet, res            # freed before the next field's jet is made
-        extremes = None if ladder is None else (kap_chi.v.min(), kap_chi.v.max())
-        return minima, lows, extremes
+            values = np.broadcast_to(jet.v, rb.shape)
+            reductions.append((_residual_minimum(res, start), values.min(axis=1),
+                               _non_finite(values, start)))
+            del jet, res, values    # freed before the next field's jet is made
+        return reductions, [] if kap_chi is None else [(kap_chi.v.min(), kap_chi.v.max())]
 
     blocks = _map_blocks(block, R, T)
-    minima = [_merge_minima(column, R, T) for column in zip(*(b[0] for b in blocks))]
-    if ladder is None:
-        return minima, None, None
-    lows = [np.concatenate(column) for column in zip(*(b[1] for b in blocks))]
-    extremes = np.array([b[2] for b in blocks])
-    return minima, lows, (extremes[:, 0].min(), extremes[:, 1].max())
+    records = [_merge_record(column, R, T) for column in zip(*(b[0] for b in blocks))]
+    return records, [extreme for b in blocks for extreme in b[1]]
 
 
 def check_sign(
@@ -311,23 +339,23 @@ def check_sign(
 
     Certifies supersolution behavior: worst_violation is the grid minimum of
     the finite residuals, and the certificate passes iff it is >= -SIGN_TOL
-    and the residual is finite at every grid point; a non-finite residual
-    fails it, and the details count the non-finite points and locate the
-    first.
+    and both the residual and the field's value are finite at every grid
+    point.  A non-finite residual or value fails it, and the details count
+    the non-finite points of each and locate the first.
     """
     if grid is None:
         grid = make_cert_grid(profile)
     R, T = grid.meshes(profile)
-    (worst, index, points, details), = _grid_pass([u], p, n, R, T)[0]
+    (record,), _ = _grid_pass([u], p, n, R, T)
     return CertificateReport(
         subject=u.label,
         condition="residual >=0",
-        grid=grid.describe() | {"hash": grid.hash(), "points": points},
-        worst_violation=worst,
-        worst_location=_location(R, T, index),
-        passed=worst >= -SIGN_TOL and not details,
+        grid=grid.describe() | {"hash": grid.hash(), "points": record.points},
+        worst_violation=record.worst,
+        worst_location=_location(R, T, record.index),
+        passed=record.worst >= -SIGN_TOL and not record.details,
         tolerance=SIGN_TOL,
-        details=details,
+        details=record.details,
     )
 
 
@@ -377,15 +405,19 @@ def check_barrier_family(
     them with its own formula, and any other member (a changed formula, a
     hand-built field) is evaluated alone in the same pass.  Each member's
     value is its jet's, which is fn's bit for bit unless fn was replaced.
-    The block reduces each member's residual as check_sign does and its
-    values to the least value of each time level, and kappa*chi to its
-    least and greatest value.  The margins are then exact without a
+    The block reduces each member's residual and values as check_sign
+    does, its values also to the least value of each time level, and
+    kappa*chi to its least and greatest value.  The margins are then exact without a
     full-size array: fl(fl(C + x) - C) rises and fl(2C - fl(C + x)) falls
     with x, so the sandwich margins are their values at the least and the
     greatest kappa*chi, and fl(v - l) rises with v, so a time level's least
     lower-bound margin is its least value's.  On the rays and on the
     boundary samples each member is evaluated once.  Every minimum is
-    numpy's, so a NaN anywhere fails its condition.  Member continuity in
+    numpy's, so a NaN anywhere fails its condition, and a member value that
+    is not finite fails the certificate wherever it is sampled: the member's
+    entry of (i) or of (ii), or for the boundary samples (farthest from the
+    tip first) a condition_iii_non_finite entry, counts such values and
+    locates the first.  Member continuity in
     the open cylinder (closed formulas) is recorded as trivially satisfied;
     the strong-family gauge condition is out of scope because its gauge
     function is existential.
@@ -402,8 +434,10 @@ def check_barrier_family(
     pars = Params(p=p, n=n)
     tol = SIGN_TOL
     R, T = grid.meshes(profile)
-    residuals, lows, (kc_min, kc_max) = _grid_pass([spec.fn for spec in family], p, n, R, T,
-                                                   (pars, family[0].gauge))
+    records, extremes = _grid_pass([spec.fn for spec in family], p, n, R, T,
+                                   (pars, family[0].gauge))
+    extremes = np.array(extremes)
+    kc_min, kc_max = extremes[:, 0].min(), extremes[:, 1].max()
     t_ray = profile.t0 * (1e-8) ** (np.arange(1, 65) / 64)
     y_ray = (np.arange(1, _N_RAYS + 1)) / (_N_RAYS + 1.0)
     r_ray = y_ray[:, None] * np.asarray(profile.zeta(t_ray), dtype=float)
@@ -414,37 +448,45 @@ def check_barrier_family(
     order = np.argsort(-dist, kind="stable")
     rb, tb, dist = rb[order], tb[order], dist[order]
 
-    member_reports, decay, running = [], [], []
-    for spec, (worst, _, _, non_finite), level_min in zip(family, residuals, lows):
+    member_reports, decay, running, edges = [], [], [], []
+    for spec, record in zip(family, records):
         w, delta, C = spec.fn, spec.gauge.delta, spec.constants["C"]
         # (i) positivity + supersolution + sandwich + lower bound
-        pos_min = float(level_min.min())
+        pos_min = float(record.lows.min())
         sandwich_lo = float(C + kc_min - C)
         sandwich_hi = float(2.0 * C - (C + kc_max))
         lower = pars.envelope(C, np.asarray(delta(T), dtype=float), T, scale=1.0 / p)
-        lower_margin = float((level_min - lower[:, 0]).min())
-        ok = (worst >= -tol and not non_finite and pos_min > 0.0 and sandwich_lo >= -tol
-              and sandwich_hi >= -tol and lower_margin >= -tol)
+        lower_margin = float((record.lows - lower[:, 0]).min())
+        ok = (record.worst >= -tol and not record.details and pos_min > 0.0
+              and sandwich_lo >= -tol and sandwich_hi >= -tol and lower_margin >= -tol)
         member_reports.append({
-            "C": C, "residual_worst": worst,
+            "C": C, "residual_worst": record.worst,
             "positivity_min": pos_min, "sandwich_margin_low": sandwich_lo,
             "sandwich_margin_high": sandwich_hi, "lower_bound_margin": lower_margin,
             "pass": bool(ok),
-        })
+        } | record.details)
         # (ii) decay along the rays below the vanishing envelope rho_C
         rho = pars.envelope(C, np.asarray(delta(t_ray), dtype=float), t_ray)
-        below = float(np.min(rho - np.asarray(w(r_ray, t_ray), dtype=float)))
+        w_ray = np.asarray(w(r_ray, t_ray), dtype=float)
+        below = float(np.min(rho - w_ray))
+        ray = _sample_details(w_ray, r_ray, t_ray)
         tail = rho[-16:]
         vanishing = bool(np.all(np.diff(tail) < 0) and tail[-1] < 0.5 * rho[0])
         decay.append({"C": C, "below_envelope_margin": below,
                       "envelope_tail_value": float(tail[-1]),
                       "envelope_vanishing": vanishing,
-                      "pass": bool(below >= -tol and vanishing)})
-        running.append(np.minimum.accumulate(np.asarray(w(rb, tb), dtype=float)))
-    all_pass = all(m["pass"] for m in member_reports + decay)
-    worst, index, _, _ = min(residuals, key=lambda m: m[0])
+                      "pass": bool(below >= -tol and vanishing and not ray)} | ray)
+        w_edge = np.asarray(w(rb, tb), dtype=float)
+        edge = _sample_details(w_edge, rb, tb)
+        if edge:
+            edges.append({"C": C} | edge)
+        running.append(np.minimum.accumulate(w_edge))
+    all_pass = all(m["pass"] for m in member_reports + decay) and not edges
+    first_worst = min(records, key=lambda record: record.worst)
     details: dict = {"ladder_C": Cs, "k_max": k_max,
                      "condition_i_members": member_reports, "condition_ii_decay": decay}
+    if edges:
+        details["condition_iii_non_finite"] = edges
 
     # (iii) growth: j(k) is the first member whose infimum over the boundary
     # samples at distance >= 1/k is at least k; a level with no such sample
@@ -469,8 +511,8 @@ def check_barrier_family(
         condition="barrier family conditions (i)-(iii)" + (" [INCONCLUSIVE]" if inconclusive else ""),
         grid=grid.describe() | {"hash": grid.hash(), "n_boundary": 2 * _N_BOUNDARY,
                                 "n_rays": _N_RAYS},
-        worst_violation=worst,
-        worst_location=_location(R, T, index),
+        worst_violation=first_worst.worst,
+        worst_location=_location(R, T, first_worst.index),
         passed=passed,
         tolerance=tol,
         details=details,

@@ -324,6 +324,14 @@ class TestFamily:
         with pytest.raises(DomainError, match="no admissible C"):
             find_family_threshold(3.0, 1, huge)
 
+    def test_no_admissible_C_before_the_powers_overflow(self):
+        # at p = 2.01 the search reaches C = 512, where the residual term
+        # (2C)^(1/(p-2)) delta / (lam^(p/(p-1)) (-t)) = 1.07e301 delta / (...)
+        # exceeds every double at the gauge's latest sample, -t = 7.1e-10
+        gauge = envelope_gauge(make_profile("power", K=1.0, q=0.6, t0=-1.0), 2.01, 1)
+        with pytest.raises(DomainError, match="no admissible C found: the powers of C = 512.0"):
+            find_family_threshold(2.01, 1, gauge)
+
 
 class TestElementaryInequality:
     @given(p=st.floats(2.05, 12.0), s=st.floats(1e-6, 10.0))

@@ -111,6 +111,13 @@ class TestRadialPowerFormula:
         with pytest.raises(DomainError, match="nonnegative"):
             p_laplacian_radial_power(1.0, 2.0, 3.0, 2, [0.5, -0.1])
 
+    @pytest.mark.parametrize("C, alpha, r", [(2.0, 1.5, 0.5), (0.5, 1.5, 3.0)])
+    def test_overflowing_power_rejected(self, C, alpha, r):
+        # |C alpha|^(p-2) overflows Python's float pow, r^((alpha-1)(p-1)-1)
+        # numpy's array pow
+        with pytest.raises(DomainError, match="overflows"):
+            p_laplacian_radial_power(C, alpha, 1e300, 1, r)
+
     @given(
         C=st.floats(0.2, 2.0),
         alpha=st.floats(0.6, 3.0),

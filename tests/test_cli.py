@@ -130,6 +130,30 @@ class TestBarenblattCheck:
         assert run(["barenblatt-check", "--p", "3", "--h", "0"]) == 1
         assert "need 0 < h < r/2" in capsys.readouterr().err
 
+    def test_field_zero_at_every_sample_fails(self, capsys):
+        # base^m underflows with m = (p-1)/(p-2) = 1e7: a residual of 0 at
+        # samples where u = 0 tests nothing
+        assert run(["barenblatt-check", "--p", "2.0000001", "--n", "1"]) == 2
+        assert "u > 0 at 0 of 100 points: FAIL" in capsys.readouterr().out
+        assert run(["barenblatt-check", "--p", "2.001", "--n", "1"]) == 0
+        assert "u > 0 at 77 of 100 points: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "degenerate_family_member", "--p", "2.01", "--q", "0.6", "--n", "1"],
+    ["scale-check", "--p", "3", "--a", "1e-300"],
+    ["scale-check", "--p", "3", "--a", "1e300"],
+    ["scale-check", "--p", "2.0000001", "--a", "2"],
+    ["lemma-check", "--p", "1e300"],
+])
+def test_power_out_of_range_is_a_precondition_error(argv, capsys):
+    # a power that overflows, or an amplitude factor that underflows to 0,
+    # exits 1 before any solve
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "precondition violated" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
 
 class TestVerify:
     def test_singular_irregularity_passes(self, tmp_path):

@@ -275,6 +275,13 @@ class TestEnvelope:
 
 
 class TestScaleDomain:
+    @pytest.mark.parametrize("a, p, factor", [(1e-300, 3.0, "inf"), (1e300, 3.0, "0.0"),
+                                              (2.0, 2.0000001, "0.0")])
+    def test_factor_out_of_range_rejected(self, a, p, factor):
+        prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
+        with pytest.raises(DomainError, match=f"factor a\\^\\(-p/\\(p-2\\)\\) is {factor} "):
+            scale_domain(prof, a, p)
+
     def test_identity(self):
         prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
         scaled, factor = scale_domain(prof, 1.0, 3.0)

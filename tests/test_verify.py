@@ -154,6 +154,22 @@ class TestCheckSign:
         r, t = rep.details["first_non_finite_location"]
         assert grid_point(grid, prof, (r, t)) == (0, 0) and t < t_split
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_fails(self, bad):
+        # half the grid's values are non-finite while every residual is
+        # finite (0 there, 1 elsewhere): the values alone fail the certificate
+        prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
+        grid = make_cert_grid(prof, 64, 64)
+        u = SpaceTimeFunction.from_formula(lambda r, t: where(t > -1e-3, bad, t + 0.0 * r))
+        rep = check_sign(u, prof, 3.0, 1, grid=grid)
+        R, T = grid.meshes(prof)
+        first = int(np.argmax(T[:, 0] > -1e-3))
+        assert (rep.worst_violation, rep.grid["points"]) == (0.0, 64 * 64)
+        assert not rep.passed
+        assert rep.details == {"non_finite_values": 32 * 64,
+                               "first_non_finite_value_location": [float(R[first, 0]),
+                                                                   float(T[first, 0])]}
+
     def test_deterministic_reports(self, singular_case):
         spec, prof = singular_case
         grid = make_cert_grid(prof, 32, 32)
@@ -419,6 +435,36 @@ class TestBarrierFamily:
         assert all(m["pass"] for m in rep.details["condition_i_members"])
         for entry in rep.details["condition_ii_decay"]:
             assert np.isnan(entry["below_envelope_margin"]) and not entry["pass"]
+
+    @pytest.mark.parametrize("where_bad, bad, count", [
+        ("grid", np.inf, 32),           # t > -1e-3 and 0.40 < y < 0.42: one grid column
+        ("ray", -np.inf, 64),           # the ray y = 4/9, which no grid point lies on
+        ("boundary", np.nan, 257),      # the lateral boundary and the bottom's rim
+    ])
+    def test_non_finite_member_value_fails(self, family_setup, where_bad, bad, count):
+        prof, _, _, ladder = family_setup
+        grid = make_cert_grid(prof, 64, 64)
+        spec = ladder[2]
+        lo, hi = {"grid": (0.40, 0.42), "ray": (0.444, 0.445), "boundary": (0.999, 2.0)}[where_bad]
+
+        def fn(r, t):
+            y = np.asarray(r) / prof.zeta(t)
+            hit = (lo < y) & (y < hi) & ((np.asarray(t) > -1e-3) | (where_bad != "grid"))
+            return np.where(hit, bad, spec.fn(r, t))
+
+        broken = ladder[:2] + [replace(spec, fn=replace(spec.fn, fn=fn))] + ladder[3:]
+        assert check_barrier_family(ladder, prof, 3.0, 1, grid=grid).passed
+        rep = check_barrier_family(broken, prof, 3.0, 1, grid=grid)
+        assert not rep.passed
+        entries = {"grid": rep.details["condition_i_members"][2],
+                   "ray": rep.details["condition_ii_decay"][2],
+                   "boundary": rep.details.get("condition_iii_non_finite", [{}])[0]}
+        for name, entry in entries.items():
+            assert ("non_finite_values" in entry) == (name == where_bad)
+        entry = entries[where_bad]
+        assert entry["non_finite_values"] == count and entry.get("pass") in (None, False)
+        r, t = entry["first_non_finite_value_location"]
+        assert lo < r / float(prof.zeta(t)) < hi
 
     def test_nan_near_the_tip_report_is_strict_json(self, family_setup):
         # RFC 8259 has no NaN token: the report quotes it, and stays failed
@@ -711,6 +757,13 @@ class TestSerialization:
         parsed = _json.loads(canonical_json(stamp(payload, with_timestamp=True)))
         assert "generated_at" in parsed
         assert parsed["report_hash"] == blob["report_hash"]  # timestamp excluded
+
+    def test_canonical_json_writes_the_shortest_round_trip_repr(self):
+        # repr's digits read back as the same double, so nothing is rounded
+        blob = canonical_json({"a": 1.0 / 3.0, "b": np.float64(0.1), "c": 2.0 ** -1074,
+                               "d": 1e22, "e": -0.0, "f": np.float32(0.1)})
+        assert blob == ('{"a": 0.3333333333333333, "b": 0.1, "c": 5e-324, "d": 1e+22, '
+                        '"e": -0.0, "f": 0.10000000149011612}')
 
     def test_canonical_json_quotes_non_finite_floats(self):
         blob = canonical_json({"a": float("nan"), "b": np.float64(np.inf), "c": -np.inf})
