@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -35,6 +36,18 @@ def _emit(payload: dict, out_path) -> None:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser of the top command and, through add_subparsers, of
+    every subcommand: an argument that reads as a negative number, in
+    exponent form too (-1e-1, -1E+2, -.5), is an option's value, as it is
+    in the --t0=-1e-1 form.  argparse's own pattern takes only the plain
+    decimals -1 and -0.1, and reads -1e-1 as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def finite_float(text: str) -> float:
@@ -194,10 +207,11 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     """Classify a (p, q) grid; deterministic cell order, partial failures kept."""
     try:
-        p_list = [float(x) for x in args.p_list.split(",") if x.strip()]
-        q_list = [float(x) for x in args.q_list.split(",") if x.strip()]
-    except ValueError:
-        print("usage error: lists must be comma-separated floats", file=sys.stderr)
+        p_list = [finite_float(x) for x in args.p_list.split(",") if x.strip()]
+        q_list = [finite_float(x) for x in args.q_list.split(",") if x.strip()]
+    except argparse.ArgumentTypeError as err:
+        print(f"usage error: lists must be comma-separated floats, all finite: {err}",
+              file=sys.stderr)
         return EXIT_USAGE
     if not p_list or not q_list:
         print("usage error: empty p or q list", file=sys.stderr)
@@ -245,7 +259,7 @@ def cmd_scale_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="petrocheck",
         description="Certify barrier constructions and probe tip regularity "
                     "for the p-parabolic equation on shrinking cusp domains.",

@@ -8,10 +8,10 @@ growth at the far boundary) are checked along finitely many declared
 approach sequences.  Each certificate builds its grid's meshes once.  On the
 grid both certificates make one pass of blocks of rows
 (`calculus._map_blocks`), on every CPU the process may use: in each block a
-field's residual is formed from its jet and reduced at once
-(`_residual_minimum`), and so is its value, which the jet carries; the
-barrier family evaluates its whole ladder there, its members sharing kappa
-chi and the C-free time factors.  No full-size residual or value array is
+field's residual is formed from its jet and reduced at once (`_least`, NaN
+counting as +inf), and so is its value, which the jet carries; the barrier
+family evaluates its whole ladder there, its members sharing kappa chi and
+the C-free time factors.  No full-size residual or value array is
 made.  Each block keeps only exact minima, maxima and counts with their
 first flat indices, and the blocks' numbers are merged in row order, so a
 report is the same whatever the split or the number of CPUs.  On the decay
@@ -107,12 +107,13 @@ class CertGrid:
     """Tensor sample grid inside a cusp domain.
 
     n_t time levels t_k in (t0, 0) and n_y relative radii y_i in (0, 1); a
-    grid point is (r, t) = (y zeta(t), t).  make_cert_grid spaces the time
-    levels geometrically from t0 down to 1e-6*|t0| and puts the radii at
-    the cell midpoints (i - 1/2)/n_y (the y = 0 axis row is excluded;
-    radial formulas are singular there and axis behavior is certified
-    separately through the symmetry limit).  Every point of the grid is
-    inside the cusp, so a certificate evaluates every point and skips none.
+    grid point is (r, t) = (y zeta(t), t).  make_cert_grid puts the time
+    levels at t0 (1e-6)^(k/n_t), k = 1..n_t, from t0 (1e-6)^(1/n_t)
+    (0.898 t0 at 128 levels) down to 1e-6 t0, and the radii at the cell
+    midpoints (i - 1/2)/n_y, from 1/(2 n_y).  Nothing nearer the axis y = 0,
+    where radial formulas are singular, and nothing nearer t0 is sampled,
+    by this grid or by any other check.  Every point of the grid is inside
+    the cusp, so a certificate evaluates every point and skips none.
     """
 
     t_levels: np.ndarray
@@ -188,16 +189,6 @@ def _location(R, T, index):
     return float(R[i, j]), float(T[i, 0])
 
 
-class _Minimum(NamedTuple):
-    """A residual reduced over one block of grid rows; flat indices count
-    over the whole grid."""
-
-    worst: Optional[float]  # least value that is not NaN (None if all are)
-    index: int              # flat index of its first occurrence
-    finite: int             # count of finite values
-    bad: tuple              # count of the others, and flat index of the first (`_non_finite`)
-
-
 def _non_finite(values, start: int):
     """(count, first flat index) of the non-finite values of one block
     whose first point has the flat index start; the index is -1 when every
@@ -207,24 +198,20 @@ def _non_finite(values, start: int):
     return count, (start + int(np.argmin(finite)) if count else -1)
 
 
-def _residual_minimum(res, start: int) -> _Minimum:
-    """The reduction of one block of residuals, whose first point has the
-    flat index start on the grid.
+def _least(res, start: int):
+    """(least value, its first flat index, `_non_finite`) of one block of
+    residuals whose first point has the flat index start on the grid.
 
-    The least value follows np.nanargmin: NaN is skipped, +-inf is kept,
-    and of equal values the first counts.  So a -inf residual is the worst
-    one, while a NaN residual is never the worst; both are counted as
-    non-finite.
+    NaN counts as +inf, and of equal values the first counts.  So a -inf
+    residual is the worst one, while a NaN residual is never the worst
+    where some residual is finite; both are counted as non-finite.
     """
     flat = res.reshape(-1)
     bad = _non_finite(flat, start)
-    if not bad[0]:
-        index = int(np.argmin(flat))
-        return _Minimum(float(flat[index]), start + index, flat.size, bad)
-    if np.isnan(flat).all():
-        return _Minimum(None, -1, 0, bad)
-    index = int(np.nanargmin(flat))
-    return _Minimum(float(flat[index]), start + index, flat.size - bad[0], bad)
+    if bad[0]:
+        flat = np.where(np.isnan(flat), np.inf, flat)
+    index = int(np.argmin(flat))
+    return float(flat[index]), start + index, bad
 
 
 _VALUE_KEYS = ("non_finite_values", "first_non_finite_value_location")
@@ -249,7 +236,7 @@ def _sample_details(values, r, t) -> dict:
 class _Record(NamedTuple):
     """One field reduced on the whole certificate grid."""
 
-    worst: float        # least residual that is not NaN
+    worst: float        # least residual, NaN counting as +inf
     index: int          # flat index of its first occurrence
     points: int         # count of finite residuals
     lows: np.ndarray    # least value of each time level
@@ -258,21 +245,21 @@ class _Record(NamedTuple):
 
 def _merge_record(blocks, R, T) -> _Record:
     """A field's record from its blocks' reductions in row order: the
-    residual's minimum (`_residual_minimum`), the least value of each of the
-    block's time levels, and its non-finite values (`_non_finite`).  The
-    worst residual is kept at its first flat index, as one block of the
-    whole grid would give it.  A residual that is finite nowhere raises
-    DomainError."""
+    residual's minimum (`_least`), the least value of each of the block's
+    time levels, and its non-finite values (`_non_finite`).  The worst
+    residual is the least of the blocks' least values, the first of equal
+    ones, so it sits at its first flat index on the grid.  A residual that
+    is finite nowhere raises DomainError."""
     minima, lows, values = zip(*blocks)
-    points = sum(m.finite for m in minima)
+    points = R.size - sum(bad[0] for *_, bad in minima)
     if points == 0:
         raise DomainError("the residual is not finite at any grid point")
-    least = min((m for m in minima if m.worst is not None), key=lambda m: m.worst)
+    worst, index, _ = min(minima, key=lambda m: m[0])
     locate = lambda index: _location(R, T, index)
-    details = (_flagged([m.bad for m in minima], locate,
+    details = (_flagged([bad for *_, bad in minima], locate,
                         ("non_finite_points", "first_non_finite_location"))
                | _flagged(values, locate, _VALUE_KEYS))
-    return _Record(least.worst, least.index, points, np.concatenate(lows), details)
+    return _Record(worst, index, points, np.concatenate(lows), details)
 
 
 def _ladder_jets(rb, tb, ladder):
@@ -318,7 +305,7 @@ def _grid_pass(fields, p, n, R, T, ladder=None):
             jet = jet_of(u)
             res = np.broadcast_to(_closed_residual(jet, rb, p, n), rb.shape)
             values = np.broadcast_to(jet.v, rb.shape)
-            reductions.append((_residual_minimum(res, start), values.min(axis=1),
+            reductions.append((_least(res, start), values.min(axis=1),
                                _non_finite(values, start)))
             del jet, res, values    # freed before the next field's jet is made
         return reductions, [] if kap_chi is None else [(kap_chi.v.min(), kap_chi.v.max())]
@@ -432,7 +419,6 @@ def check_barrier_family(
     if grid is None:
         grid = make_cert_grid(profile)
     pars = Params(p=p, n=n)
-    tol = SIGN_TOL
     R, T = grid.meshes(profile)
     records, extremes = _grid_pass([spec.fn for spec in family], p, n, R, T,
                                    (pars, family[0].gauge))
@@ -451,20 +437,17 @@ def check_barrier_family(
     member_reports, decay, running, edges = [], [], [], []
     for spec, record in zip(family, records):
         w, delta, C = spec.fn, spec.gauge.delta, spec.constants["C"]
-        # (i) positivity + supersolution + sandwich + lower bound
-        pos_min = float(record.lows.min())
-        sandwich_lo = float(C + kc_min - C)
-        sandwich_hi = float(2.0 * C - (C + kc_max))
+        # (i) positivity + supersolution + sandwich + lower bound: positivity
+        # needs a margin > 0, every other margin one >= -SIGN_TOL
         lower = pars.envelope(C, np.asarray(delta(T), dtype=float), T, scale=1.0 / p)
-        lower_margin = float((record.lows - lower[:, 0]).min())
-        ok = (record.worst >= -tol and not record.details and pos_min > 0.0
-              and sandwich_lo >= -tol and sandwich_hi >= -tol and lower_margin >= -tol)
-        member_reports.append({
-            "C": C, "residual_worst": record.worst,
-            "positivity_min": pos_min, "sandwich_margin_low": sandwich_lo,
-            "sandwich_margin_high": sandwich_hi, "lower_bound_margin": lower_margin,
-            "pass": bool(ok),
-        } | record.details)
+        margins = {"positivity_min": float(record.lows.min()),
+                   "residual_worst": record.worst,
+                   "sandwich_margin_low": float(C + kc_min - C),
+                   "sandwich_margin_high": float(2.0 * C - (C + kc_max)),
+                   "lower_bound_margin": float((record.lows - lower[:, 0]).min())}
+        ok = (margins["positivity_min"] > 0.0 and not record.details
+              and all(m >= -SIGN_TOL for m in margins.values()))
+        member_reports.append({"C": C, "pass": ok} | margins | record.details)
         # (ii) decay along the rays below the vanishing envelope rho_C
         rho = pars.envelope(C, np.asarray(delta(t_ray), dtype=float), t_ray)
         w_ray = np.asarray(w(r_ray, t_ray), dtype=float)
@@ -475,7 +458,7 @@ def check_barrier_family(
         decay.append({"C": C, "below_envelope_margin": below,
                       "envelope_tail_value": float(tail[-1]),
                       "envelope_vanishing": vanishing,
-                      "pass": bool(below >= -tol and vanishing and not ray)} | ray)
+                      "pass": bool(below >= -SIGN_TOL and vanishing and not ray)} | ray)
         w_edge = np.asarray(w(rb, tb), dtype=float)
         edge = _sample_details(w_edge, rb, tb)
         if edge:
@@ -514,7 +497,7 @@ def check_barrier_family(
         worst_violation=first_worst.worst,
         worst_location=_location(R, T, first_worst.index),
         passed=passed,
-        tolerance=tol,
+        tolerance=SIGN_TOL,
         details=details,
     )
 

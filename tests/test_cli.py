@@ -224,6 +224,32 @@ class TestVerify:
         ja.pop("generated_at"), jb.pop("generated_at")
         assert ja == jb
 
+    def test_negative_exponent_after_a_space_is_a_value(self, tmp_path):
+        # argparse's own pattern reads "-5e-1" after a space as an option
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["verify", "--kind", "singular_irregularity", "--p", "1.5", "--q", "0.25",
+                "--n", "2", "--grid-y", "8", "--grid-t", "8"]
+        assert run(args + ["--t0", "-5e-1", "--out", str(a)]) == 0
+        assert run(args + ["--t0=-5e-1", "--out", str(b)]) == 0
+        ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert ja["config"]["t0"] == -0.5
+        assert ja["report_hash"] == jb["report_hash"]
+
+
+@pytest.mark.parametrize("value", ["-1e-1", "-1E+2", "-.5", "-2"])
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--kind", "singular_irregularity", "--p", "1.5"], "--t0"),
+    (["verify", "--kind", "degenerate_irregularity", "--p", "3"], "--C"),
+    (["classify", "--p", "3"], "--q"),
+    (["solve", "--p", "3", "--q", "0.5"], "--eps-min"),
+    (["sweep", "--p-list", "3", "--q-list", "0.5"], "--K"),
+    (["scale-check", "--p", "3"], "--a"),
+    (["lemma-check"], "--p"),
+])
+def test_negative_number_option_reads_alike_in_both_forms(argv, option, value):
+    parse = cli._parser().parse_args
+    assert parse(argv + [option, value]) == parse(argv + [f"{option}={value}"])
+
 
 class TestClassify:
     def test_regular(self, tmp_path):
@@ -280,6 +306,13 @@ class TestSweep:
     def test_non_numeric_list_usage_error(self, capsys):
         assert run(["sweep", "--p-list", "a", "--q-list", "0.5"]) == 1
         assert "comma-separated floats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_list, q_list", [("nan,3", "0.5"), ("3", "0.5,inf"),
+                                                ("3", "0.5,-inf")])
+    def test_non_finite_list_entry_usage_error(self, p_list, q_list, capsys):
+        assert run(["sweep", "--p-list", p_list, "--q-list", q_list]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err and captured.out == ""
 
     def test_error_cell_is_kept(self, tmp_path):
         out = tmp_path / "sweep.json"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from petrocheck import calculus
 from petrocheck import verify as verify_module
@@ -25,6 +26,7 @@ from petrocheck.domains import envelope_gauge, make_profile
 from petrocheck.errors import DomainError
 from petrocheck.solver import SolverConfig
 from petrocheck.verify import (
+    SIGN_TOL,
     CertGrid,
     _boundary_samples,
     _ladder_jets,
@@ -625,9 +627,10 @@ class TestLadderPass:
 
 
 class TestResidualReduction:
-    """Both certificates reduce the residual block by block with one rule,
-    np.nanargmin's: NaN is skipped, +-inf is kept, the first of equal
-    values counts, and every non-finite value is counted and fails."""
+    """Both certificates reduce the residual block by block with one rule:
+    NaN counts as +inf, the first of equal values counts, and every
+    non-finite value is counted and fails.  Where some residual is finite,
+    that gives np.nanargmin's worst over the whole grid."""
 
     def field(self, grid, prof, res_full):
         """A hand-built field whose residual on the grid is res_full: dt
@@ -697,6 +700,45 @@ class TestResidualReduction:
             check_barrier_family([replace(ladder[0], fn=u)], prof, 3.0, 1, grid=grid)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 9)),
+           block=st.integers(1, 40), data=st.data())
+    def test_random_layout_matches_the_whole_grid(self, family_setup, shape, block, data):
+        # NaN, +inf, -inf and tied finite values at random places, reduced
+        # in blocks of at most `block` points, against one whole-grid
+        # reduction: np.nanargmin for the worst, np.isfinite for the counts
+        prof, _, _, ladder = family_setup
+        n_t, n_y = shape
+        entries = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -1e-11, 0.0, 2.0])
+        res = np.array(data.draw(st.lists(entries, min_size=n_t * n_y, max_size=n_t * n_y)))
+        res = res.reshape(n_t, n_y)
+        grid = make_cert_grid(prof, n_t, n_y)
+        u, R, T = self.field(grid, prof, res)
+        member = replace(ladder[0], fn=u)
+        finite = np.isfinite(res)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calculus, "_BLOCK", block)
+            if not finite.any():
+                with pytest.raises(DomainError, match="not finite at any grid point"):
+                    check_sign(u, prof, 3.0, 1, grid=grid)
+                return
+            sign = check_sign(u, prof, 3.0, 1, grid=grid)
+            family = check_barrier_family([member], prof, 3.0, 1, k_max=1, grid=grid)
+        locate = lambda index: [float(R.flat[index]), float(T[index // n_y, 0])]
+        worst = int(np.nanargmin(res))
+        bad = np.flatnonzero(~finite)
+        details = ({"non_finite_points": int(bad.size),
+                    "first_non_finite_location": locate(bad[0])} if bad.size else {})
+        assert sign.worst_violation == res.flat[worst]
+        assert list(sign.worst_location) == locate(worst)
+        assert sign.grid["points"] == int(finite.sum())
+        assert sign.details == details
+        assert sign.passed == (res.flat[worst] >= -SIGN_TOL and not bad.size)
+        assert family.worst_violation == res.flat[worst]
+        assert list(family.worst_location) == locate(worst)
+        assert family.details["condition_i_members"][0]["residual_worst"] == res.flat[worst]
+
+
 class TestSolverChecks:
     def test_comparison_identical_data(self):
         prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
@@ -747,7 +789,7 @@ class TestSolverChecks:
 
 
 class TestSerialization:
-    def test_json_has_hash_and_17_digits(self, singular_case):
+    def test_report_hash_is_64_hex_and_leaves_out_generated_at(self, singular_case):
         spec, prof = singular_case
         rep = check_sign(spec.fn, prof, 1.5, 2, grid=make_cert_grid(prof, 16, 16))
         blob = rep.to_dict()
