@@ -58,7 +58,10 @@ row i.  Each residual evaluation (assembly) builds phi' only as a function,
 called when its iterate goes on to a tridiagonal solve.  A step that has not
 converged after _NEWTON_MAX iterations, or whose line-search trials all
 fail, raises SolverError, as do a non-finite residual or Jacobian and a
-singular system (LAPACK gtsv).
+singular system (LAPACK gtsv).  gtsv is the solver's one use of
+scipy.linalg, and it is imported on the first implicit step (when the first
+solve builds its stepper), not with the module: certificates and verdicts
+without the probe never load it.
 
 Newton runs only where the field can move.  While the field is a finite
 constant c and the next lateral datum is c, the level is still: phi(0) = 0
@@ -102,10 +105,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
-# no longer called (the solver calls gtsv directly); the name stays bound
-# because perfbench/tracing.py wraps solver.solve_banded
-from scipy.linalg import solve_banded  # noqa: F401
 
 from .calculus import Params
 from .domains import DomainProfile, make_profile
@@ -139,6 +138,16 @@ _UNCAPPED_C_STEP = 1e150
 # Declared trend thresholds of the tip probe, reported verbatim with its result
 PROBE_THRESHOLDS = {"attains_endpoint": 0.1, "attains_ratio": 0.8,
                     "gap_floor": 0.2, "gap_rel_change": 0.1}
+
+
+def __getattr__(name):
+    # solve_banded is no longer called (the solver calls gtsv directly); the
+    # name stays resolvable, imported on request, because
+    # perfbench/tracing.py wraps solver.solve_banded
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -294,6 +303,11 @@ class _Stepper:
             self.flat_flux_is_zero = not _flux(np.zeros(cfg.n_y - 1), p, cfg.eps_reg)[0].any()
         self.stats = {"steps": 0, "settled_steps": 0, "newton_iterations": 0,
                       "assemblies": 0, "backtracks": 0, "worst_residual": 0.0}
+        # imported here, not at module level: scipy.linalg costs a start about
+        # 0.2 s and 24 MB (2 vCPU), and only an implicit step uses it
+        from scipy.linalg.lapack import dgtsv
+
+        self.gtsv = dgtsv
 
     def _scalars(self, dt, z, dz):
         """w = dt zeta^-p, the symmetry weight w0, the advection factor
@@ -328,7 +342,8 @@ class _Stepper:
 
     def solve(self, c: _StepCoefficients, dphi, rhs, step_index, t_new):
         """Solve J x = rhs, where J is the Jacobian of G at the iterate whose
-        flux derivative at the half points is dphi, by LAPACK gtsv."""
+        flux derivative at the half points is dphi, by LAPACK gtsv (loaded
+        with the stepper, before its first step)."""
         d = dphi / self.h
         Dp = c.wp * d[1:]
         Dm = c.wm * d[:-1]
@@ -346,7 +361,7 @@ class _Stepper:
         if not np.isfinite(diag).all():
             raise SolverError(f"non-finite Jacobian at step {step_index} "
                               f"(t={t_new:.6g})", step=step_index, t=t_new)
-        x, info = dgtsv(sub, diag, sup, rhs)[3:]
+        x, info = self.gtsv(sub, diag, sup, rhs)[3:]
         if info != 0:
             raise SolverError(f"singular tridiagonal system at step {step_index} "
                               f"(t={t_new:.6g}, LAPACK info={info})",
