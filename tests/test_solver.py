@@ -15,6 +15,7 @@ from petrocheck.solver import (
     _Stepper,
     _UNCAPPED_C_STEP,
     _default_ladder,
+    _newton_start,
     classify,
     default_probe,
     probe_origin,
@@ -32,25 +33,27 @@ class TestTransform:
     """The fixed-cylinder equation the stepper solves, checked through the
     solver against an exact solution."""
 
-    # Of the singular range only (1.7, 1) is here.  Left out: (1.6, 1),
-    # where Newton stalls at n_y = 129 (step 103, scaled |G| = 1.023e-11),
-    # and (1.7, 2) and (1.8, 2), which converge at order 0.92 but whose
-    # finest errors (5.1e-3, 3.8e-3) miss the 2e-3 gate.  Each cell runs
-    # with the SolverConfig stiffness cap and without it, as the probe
-    # ladder does.
-    @pytest.mark.parametrize("p, n, c_step", [
-        pytest.param(p, n, c_step, id=f"{p}-{n}{suffix}")
+    # Of the singular range (1.7, 1) and (1.8, 2) are here; (1.8, 2) needs
+    # a fourth level (257, 400) to meet the 2e-3 gate (3.8e-3 at (129, 200),
+    # 1.96e-3 at order 0.95 there).  Left out: (1.6, 1), where Newton stalls
+    # at n_y = 129 (step 103, scaled |G| = 1.023e-11), and (1.7, 2), whose
+    # error at (129, 200) is 5.1e-3 and which stalls at step 277 of
+    # (257, 400) (1.002e-11).  Each cell runs with the SolverConfig
+    # stiffness cap and without it, as the probe ladder does.
+    @pytest.mark.parametrize("p, n, c_step, levels", [
+        pytest.param(p, n, c_step, levels, id=f"{p}-{n}{suffix}")
         for c_step, suffix in ((SolverConfig.c_step, ""), (_UNCAPPED_C_STEP, "-uncapped"))
-        for p, n in [(3.0, 1), (3.0, 2), (2.5, 2), (1.7, 1)]
+        for p, n, levels in [(3.0, 1, 3), (3.0, 2, 3), (2.5, 2, 3), (1.7, 1, 3), (1.8, 2, 4)]
     ])
-    def test_source_solution_converges_at_first_order(self, power_profile, p, n, c_step):
+    def test_source_solution_converges_at_first_order(self, power_profile, p, n, c_step,
+                                                      levels):
         # the time-shifted source solution B(r, t + 2) as data; the max error
         # over the whole field, relative to the largest value, halves with
         # each doubling of (n_y, n_t)
         B = barenblatt_function(p, n, 1.0)
         f = lambda r, t: B.fn(np.asarray(r, dtype=float), np.asarray(t, dtype=float) + 2.0)
         errors = []
-        for n_y, n_t in [(33, 50), (65, 100), (129, 200)]:
+        for n_y, n_t in [(33, 50), (65, 100), (129, 200), (257, 400)][:levels]:
             fld = solve_dirichlet(power_profile, p, n, f,
                                   SolverConfig(n_y=n_y, n_t=n_t, eps_min=1e-3, c_step=c_step))
             r = fld.y_nodes[None, :] * power_profile.zeta(fld.t_nodes)[:, None]
@@ -282,13 +285,24 @@ def assert_one_assembly_per_iterate(stats):
                                    + stats["newton_iterations"] + stats["backtracks"])
 
 
-def reference_march(profile, p, n, f, cfg, secant=True, per_level=False):
+def secant_start(t, values, k):
+    """The secant extrapolation of the last two levels, the march's start
+    before the fourth-order one."""
+    v = values[k - 1]
+    return v if k == 1 else v + ((t[k] - t[k - 1]) / (t[k - 1] - t[k - 2])) * (v - values[k - 2])
+
+
+def previous_level_start(t, values, k):
+    return values[k - 1]
+
+
+def reference_march(profile, p, n, f, cfg, start=_newton_start, per_level=False):
     """solve_dirichlet's field with Newton (`_Stepper.step`) at every level,
-    started at the secant extrapolation of the last two levels or, with
-    secant=False, at the previous level; and the stepper's stats.  zeta,
-    zeta' and the lateral datum are read as the march reads them, one array
-    call each over the time grid, or with per_level=True by one scalar call
-    per level."""
+    started at start(t, values, k) from the times and the levels before k:
+    the solver's own start (_newton_start), secant_start or
+    previous_level_start; and the stepper's stats.  zeta, zeta' and the
+    lateral datum are read as the march reads them, one array call each over
+    the time grid, or with per_level=True by one scalar call per level."""
     ts = time_grid(profile, p, cfg)
     st = _Stepper(p, n, cfg)
     if per_level:
@@ -299,19 +313,34 @@ def reference_march(profile, p, n, f, cfg, secant=True, per_level=False):
         zs = np.asarray(profile.zeta(ts), dtype=float)
         dzs = np.asarray(profile.dzeta(ts), dtype=float).tolist()
         bcs = np.asarray(f(zs[1:], ts[1:]), dtype=float).tolist()
-    rows = [np.asarray(f(st.y * zs[0], ts[0]), dtype=float)]
+    t = ts.tolist()
+    rows = np.empty((ts.size, cfg.n_y))
+    rows[0] = f(st.y * zs[0], ts[0])
     for k in range(1, ts.size):
-        t_new = float(ts[k])
-        dt = t_new - float(ts[k - 1])
-        v = rows[-1]
-        start = v if k == 1 or not secant else v + (dt / dt_prev) * (v - rows[-2])
-        rows.append(st.step(v, start, t_new, dt, float(zs[k]), dzs[k], bcs[k - 1], k))
-        dt_prev = dt
-    return np.array(rows), st.stats
+        rows[k] = st.step(rows[k - 1], start(t, rows, k), t[k], t[k] - t[k - 1],
+                          float(zs[k]), dzs[k], bcs[k - 1], k)
+    return rows, st.stats
 
 
 # the criterion-8 solve: p = 3 on the q = 0.5 cusp with smooth_data
 CRIT8_GRID = SolverConfig(n_y=65, n_t=200, eps_min=1e-3)
+
+
+def gapped_data(r, t):
+    """smooth_data plus a non-negative gap: the upper datum of a criterion-8 pair."""
+    return smooth_data(r, t) + 0.3 * np.sin(3.0 * np.asarray(r, dtype=float)) ** 2 * np.cos(t) ** 2
+
+
+# n = 1 solves on the power cusp q: rung 3 of the default probe ladder on a
+# p > 2 and a singular cell, and the criterion-8 pair
+MARCH_CASES = [
+    pytest.param(3.0, 0.6, default_probe, SolverConfig(**_default_ladder(-1.0)[2]),
+                 id="rung-3-(3, 0.6, 1)"),
+    pytest.param(1.5, 0.3, default_probe, SolverConfig(**_default_ladder(-1.0)[2]),
+                 id="rung-3-(1.5, 0.3, 1)"),
+    pytest.param(3.0, 0.5, smooth_data, CRIT8_GRID, id="criterion-8-lower"),
+    pytest.param(3.0, 0.5, gapped_data, CRIT8_GRID, id="criterion-8-upper"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -329,16 +358,39 @@ class TestSolverStats:
         assert_one_assembly_per_iterate(stats)
 
     def test_extrapolated_start_cuts_newton_iterations(self, power_profile, crit8_field):
-        # started at the secant extrapolation of the last two levels, Newton
-        # takes about 3.1 iterations a step here; started at the previous
-        # level it took 4.9.  Both fields meet the same residual test, so
-        # they differ by far less than 1e-9 (3.2e-12 measured).
+        # started at the fourth-order extrapolation of the last five levels,
+        # Newton takes about 2.6 iterations a step here (3.1 from the secant
+        # one); started at the previous level it took 4.9.  Both fields meet
+        # the same residual test, so they differ by far less than 1e-9
+        # (3.7e-12 measured).
         stats = crit8_field.meta["stats"]
         assert stats["newton_iterations"] / stats["steps"] <= 3.5
         old, old_stats = reference_march(power_profile, 3.0, 1, smooth_data, CRIT8_GRID,
-                                        secant=False)
+                                         start=previous_level_start)
         assert old_stats["newton_iterations"] / old_stats["steps"] > 4.5
         assert float(np.max(np.abs(crit8_field.values - old))) <= 1e-9
+
+    @pytest.mark.parametrize("p, q, f, cfg", MARCH_CASES)
+    def test_fields_within_solve_tolerance_of_the_secant_start(self, p, q, f, cfg):
+        # two starts whose steps both meet RESIDUAL_TOL: fields within 1e-9
+        # and axis endpoints within 1e-11 (1.0e-10 and 1.5e-12 measured on
+        # the benchmark's solves and a 112-cell probe sweep)
+        prof = make_profile("power", K=1.0, q=q, t0=-1.0)
+        fld = solve_dirichlet(prof, p, 1, f, cfg)
+        ref, _ = reference_march(prof, p, 1, f, cfg, start=secant_start)
+        assert float(np.max(np.abs(fld.values - ref))) <= 1e-9
+        assert abs(fld.values[-1, 0] - ref[-1, 0]) <= 1e-11
+
+    def test_extrapolated_start_cuts_probe_rung_iterations(self):
+        # rung 3 of (3, 0.6, 1): about 1.3 Newton iterations a step it does
+        # not settle, against 3.2 from the secant start
+        prof = make_profile("power", K=1.0, q=0.6, t0=-1.0)
+        cfg = SolverConfig(**_default_ladder(prof.t0)[2])
+        stats = solve_dirichlet(prof, 3.0, 1, default_probe, cfg).meta["stats"]
+        newton_steps = stats["steps"] - stats["settled_steps"]
+        assert stats["newton_iterations"] / newton_steps <= 1.6
+        _, secant = reference_march(prof, 3.0, 1, default_probe, cfg, start=secant_start)
+        assert secant["newton_iterations"] / newton_steps > 3.0
 
     def test_stationary_field_keeps_the_previous_level_start(self):
         # on (3, 0.2, 1) rung 1 the datum is 1 throughout, so every level
@@ -348,7 +400,7 @@ class TestSolverStats:
         cfg = SolverConfig(**_default_ladder(prof.t0)[0])
         fld = solve_dirichlet(prof, 3.0, 1, default_probe, cfg)
         assert fld.meta["stats"]["newton_iterations"] == 0
-        old, _ = reference_march(prof, 3.0, 1, default_probe, cfg, secant=False)
+        old, _ = reference_march(prof, 3.0, 1, default_probe, cfg, start=previous_level_start)
         np.testing.assert_array_equal(fld.values, old)
 
     def test_default_ladder_endpoints_within_solve_tolerance(self):
@@ -464,13 +516,16 @@ class TestStillLevels:
     @pytest.mark.parametrize("c", [0.7, -0.0])
     def test_constant_datum_needs_no_assembly(self, power_profile, c):
         # the settled levels are Newton's to the sign of zero: with a datum
-        # of -0 the secant start turns the interior to +0 from level 2 on
+        # of -0 the extrapolated start turns the interior to +0 from level 2 on
         cfg = SolverConfig(n_y=33, n_t=50, eps_min=1e-2)
         f = lambda r, t: np.full(np.shape(r), c)
         fld = solve_dirichlet(power_profile, 3.0, 1, f, cfg)
         ref, _ = reference_march(power_profile, 3.0, 1, f, cfg)
         np.testing.assert_array_equal(fld.values, c)
         np.testing.assert_array_equal(np.signbit(fld.values), np.signbit(ref))
+        sign = np.full(fld.values.shape, np.signbit(c))
+        sign[2:, :-1] = False
+        np.testing.assert_array_equal(np.signbit(fld.values), sign)
         stats = fld.meta["stats"]
         assert stats["steps"] == stats["settled_steps"] == fld.t_nodes.size - 1
         assert stats["assemblies"] == stats["newton_iterations"] == 0
@@ -527,11 +582,6 @@ class TestStillLevels:
         assert got[0] is SolverError and got[2] == 1
 
 
-def gapped_data(r, t):
-    """smooth_data plus a non-negative gap: the upper datum of a criterion-8 pair."""
-    return smooth_data(r, t) + 0.3 * np.sin(3.0 * np.asarray(r, dtype=float)) ** 2 * np.cos(t) ** 2
-
-
 class TestBoundaryReads:
     """The march reads zeta, zeta' and the datum over its whole time grid
     before the first step.  Those array reads may round a width or a rate
@@ -562,14 +612,7 @@ class TestBoundaryReads:
         np.testing.assert_array_equal(
             fld.values, solve_dirichlet(power_profile, 3.0, 1, default_probe, cfg).values)
 
-    @pytest.mark.parametrize("p, q, f, cfg", [
-        pytest.param(3.0, 0.6, default_probe, SolverConfig(**_default_ladder(-1.0)[2]),
-                     id="rung-3-(3, 0.6, 1)"),
-        pytest.param(1.5, 0.3, default_probe, SolverConfig(**_default_ladder(-1.0)[2]),
-                     id="rung-3-(1.5, 0.3, 1)"),
-        pytest.param(3.0, 0.5, smooth_data, CRIT8_GRID, id="criterion-8-lower"),
-        pytest.param(3.0, 0.5, gapped_data, CRIT8_GRID, id="criterion-8-upper"),
-    ])
+    @pytest.mark.parametrize("p, q, f, cfg", MARCH_CASES)
     def test_fields_within_roundoff_of_per_level_reads(self, p, q, f, cfg):
         prof = make_profile("power", K=1.0, q=q, t0=-1.0)
         fld = solve_dirichlet(prof, p, 1, f, cfg)
@@ -678,6 +721,17 @@ class TestProbe:
         assert expect[2:].tolist() == [1.0, 1.0]
         out = classify(4.0, 0.5, K=1e200, with_probe=True)
         assert len(out.meta["probe"]["endpoints"]) == 3
+
+    def test_rungs_report_the_newton_work(self, power_profile, monkeypatch):
+        rungs = [{"eps_min": 1e-3, "n_y": 17, "n_t": 30}, {"eps_min": 3e-4, "n_y": 17, "n_t": 40}]
+        short_ladder(monkeypatch, rungs)
+        out = probe_origin(power_profile, 3.0, 1)
+        for got, rung in zip(out["rungs"], rungs, strict=True):
+            stats = solve_dirichlet(power_profile, 3.0, 1, default_probe,
+                                    SolverConfig(**rung)).meta["stats"]
+            assert 0 < stats["settled_steps"] and 0 < stats["newton_iterations"]
+            assert (got["n_steps"], got["settled_steps"], got["newton_iterations"]) == (
+                stats["steps"], stats["settled_steps"], stats["newton_iterations"])
 
     def test_thresholds_reported(self, power_profile, monkeypatch):
         short_ladder(monkeypatch, [{"eps_min": 1e-1, "n_y": 17, "n_t": 30}])

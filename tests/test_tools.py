@@ -40,3 +40,26 @@ def test_base_prints_each_module_then_and_now(tmp_path, monkeypatch, capsys):
                     ["0", "3", "+3", "pkg/new.py"], ["3", "4", "+1", "total"]]
     assert count_code_lines.main(["--base", "no-such-ref", "pkg"]) == 0
     assert capsys.readouterr().out.startswith("cannot read no-such-ref with git")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOL.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probe_work_prints_each_rung_and_the_totals():
+    from petrocheck.solver import classify
+
+    lines = load_tool("probe_work").rung_lines([(3.0, 0.6, 1)])
+    rungs = classify(3.0, 0.6, 1, with_probe=True).meta["probe"]["rungs"]
+    rows = [line.split() for line in lines[1:-1]]
+    assert [row[:5] for row in rows] == [["3.0", "0.6", "1", "attains", str(i)]
+                                         for i in (1, 2, 3)]
+    counts = [[rung[key] for key in ("n_steps", "settled_steps", "newton_iterations")]
+              for rung in rungs]
+    assert [[int(x) for x in row[5:]] for row in rows] == counts
+    steps, settled, newton = (sum(col) for col in zip(*counts))
+    assert lines[-1] == (f"total: {steps} steps, {settled} settled, {newton} Newton iterations "
+                         f"({newton / (steps - settled):.2f} per step not settled)")
