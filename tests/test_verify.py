@@ -173,6 +173,16 @@ class TestCheckSign:
                                "first_non_finite_value_location": [float(R[first, 0]),
                                                                    float(T[first, 0])]}
 
+    @pytest.mark.parametrize("eps, passed", [(1e-8, False), (1e-11, True)])
+    def test_tolerance_is_sign_tol(self, eps, passed):
+        # the residual is -eps at every point: a tolerance as loose as 1e-6
+        # would pass the first, one as tight as 1e-12 fail the second
+        prof = make_profile("power", K=1.0, q=0.5, t0=-1.0)
+        u = SpaceTimeFunction.from_formula(lambda r, t: 1.0 - eps * t + 0.0 * r)
+        rep = check_sign(u, prof, 3.0, 1, grid=make_cert_grid(prof, 16, 16))
+        assert rep.worst_violation == pytest.approx(-eps, rel=1e-12)
+        assert rep.passed == passed
+
     def test_deterministic_reports(self, singular_case):
         spec, prof = singular_case
         grid = make_cert_grid(prof, 32, 32)
