@@ -7,7 +7,8 @@ pointwise residuals du/dt - Lap_p u can be certified to roundoff:
 
 singular_irregularity   1 < p < 2, 0 < q < 1/p: a supersolution whose value
                         along the axis tends to 0 while its boundary datum at
-                        the tip is 1, witnessing irregularity of the tip.
+                        the tip is K^(p/(p-1)) > 0, witnessing irregularity
+                        of the tip.
 singular_traditional    1 < p < 2, 0 < q <= 1/p: the pasted min{v, M} barrier
                         that vanishes at the tip even when the tip is
                         irregular (one barrier does not imply regularity).
@@ -130,9 +131,9 @@ def singular_irregularity_barrier(p: float, q: float, n: int) -> SpaceTimeFuncti
     Supersolution in the cusp: du/dt - Lap_p u
     = pq/(p-1) r^(p/(p-1)) (-t)^(-1-pq/(p-1)) >= 0, vanishing only on the
     axis, while u(0, t) -> 0 as t -> 0-.  The tip is not a branch of the
-    formula (numpy gives NaN there): its datum 1 is the declared constant
-    `tip_value` of make_barrier's spec, the limit of the lateral datum
-    u((-t)^q, t) as t -> 0- on the K = 1 cusp.
+    formula (numpy gives NaN there): its datum K^(p/(p-1)), which is 1 on
+    the K = 1 cusp, is the declared constant `tip_value` of make_barrier's
+    spec, the limit of the lateral datum u(K(-t)^q, t) as t -> 0-.
     """
     _singular(p, n, q, strict_q=True)
     pp = p / (p - 1.0)
@@ -414,7 +415,10 @@ def make_barrier(kind: str, p: float, n: int, q: Optional[float] = None,
                                q=1.0 / p if kind == "degenerate_irregularity" else q)
     if kind == "singular_irregularity":
         fn = singular_irregularity_barrier(p, q, n)
-        consts = {"tip_value": 1.0}
+        try:
+            consts = {"tip_value": K ** (p / (p - 1.0))}
+        except OverflowError:
+            raise DomainError(f"the tip datum K^(p/(p-1)) overflows for K={K}, p={p}") from None
     elif kind == "singular_traditional":
         fn = singular_traditional_barrier(p, q, n)
         consts = {"B": b_const(p, n), "M": m_const(p, q, n)}

@@ -1,10 +1,15 @@
 """Command-line front end: reproducible experiments with JSON/CSV reports.
 
 Subcommands: lemma-check, barenblatt-check, verify, classify, solve, sweep,
-scale-check.  All runs are deterministic (fixed internal seeds, no wall-clock
-inputs); reports carry schema "petrocheck/1", each float in its shortest
-round-trip repr, and a sha256 report hash computed over the canonical
-payload with the timestamp excluded.  Exit codes: 0 pass, 1
+scale-check.  argparse parses every option, solve's --data and sweep's
+lists included, so a malformed or non-finite value is a usage error before
+any work; an out-of-range one raises DomainError where the library checks
+it.  Each JSON report is written by _emit: its config is every option the
+command parsed except the output paths and, for verify, the options of the
+other certificate.  All runs are deterministic (fixed internal seeds, no
+wall-clock inputs); reports carry schema "petrocheck/1", each float in its
+shortest round-trip repr, and a sha256 report hash computed over the
+canonical payload with the timestamp excluded.  Exit codes: 0 pass, 1
 usage/precondition error, 2 certificate failure, 3 solver failure.
 """
 
@@ -29,10 +34,15 @@ SCHEMA = "petrocheck/1"
 EXIT_PASS, EXIT_USAGE, EXIT_CERT_FAIL, EXIT_SOLVER_FAIL = 0, 1, 2, 3
 
 
-def _emit(payload: dict, out_path) -> None:
-    text = ver.canonical_json(ver.stamp(dict(payload, schema=SCHEMA), with_timestamp=True))
-    if out_path:
-        with open(out_path, "w") as fh:
+def _emit(args, results: dict, *leave_out: str) -> None:
+    """Write one JSON report: results, the command, and as its config every
+    option the command parsed but the output path and those in leave_out."""
+    skip = {"command", "func", "out", *leave_out}
+    config = {key: value for key, value in vars(args).items() if key not in skip}
+    payload = dict(results, command=args.command, config=config, schema=SCHEMA)
+    text = ver.canonical_json(ver.stamp(payload, with_timestamp=True))
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -70,6 +80,26 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
+
+
+def float_list(text: str) -> list:
+    """argparse type of the sweep lists: comma-separated finite floats."""
+    try:
+        return [finite_float(entry) for entry in text.split(",")]
+    except argparse.ArgumentTypeError as err:
+        raise argparse.ArgumentTypeError(
+            f"lists must be comma-separated floats, all finite: {err}") from None
+
+
+def datum(text: str):
+    """argparse type of solve --data: 'probe' or 'const:<finite float>',
+    returned as the lateral datum f(r, t)."""
+    if text == "probe":
+        return sol.default_probe
+    if not text.startswith("const:"):
+        raise argparse.ArgumentTypeError(f"expected 'probe' or 'const:<value>', got {text!r}")
+    cval = finite_float(text.removeprefix("const:"))
+    return lambda r, t: cval + 0.0 * np.asarray(r, dtype=float)
 
 
 def _solver_options(sp, n_y, n_t, eps_min) -> None:
@@ -143,8 +173,6 @@ def cmd_barenblatt_check(args) -> int:
 
 def cmd_verify(args) -> int:
     """Build a barrier and certify its defining inequalities on a grid."""
-    config = {"p": args.p, "n": args.n, "q": args.q, "K": args.K, "t0": args.t0,
-              "grid_y": args.grid_y, "grid_t": args.grid_t}
     if args.kind == "degenerate_family_member":
         profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
         gauge = dom.envelope_gauge(profile, args.p, args.n)
@@ -154,48 +182,31 @@ def cmd_verify(args) -> int:
         grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
         rep = ver.check_barrier_family(ladder, profile, args.p, args.n,
                                        k_max=args.k_max, grid=grid)
-        payload = {"config": config | {"ladder": args.ladder, "k_max": args.k_max},
-                   "C0": C0, "threshold_details": det}
+        results = {"C0": C0, "threshold_details": det}
+        leave_out = ("kind", "C", "beta")
     else:
         spec = bar.make_barrier(args.kind, p=args.p, n=args.n, q=args.q,
                                 K=args.K, t0=args.t0, C=args.C, beta=args.beta)
         profile = spec.reference_profile()
         grid = ver.make_cert_grid(profile, n_t=args.grid_t, n_y=args.grid_y)
         rep = ver.check_sign(spec.fn, profile, args.p, args.n, grid=grid)
-        payload = {"config": config | {"C": args.C, "beta": args.beta},
-                   "barrier": spec.to_json_dict(grid_hash=grid.hash())}
-    _emit(payload | {"command": "verify", "kind": args.kind, "certificate": rep.to_dict()},
-          args.out)
+        results = {"barrier": spec.to_json_dict(grid_hash=grid.hash())}
+        leave_out = ("kind", "ladder", "k_max")
+    _emit(args, results | {"kind": args.kind, "certificate": rep.to_dict()}, *leave_out)
     return EXIT_PASS if rep.passed else EXIT_CERT_FAIL
 
 
 def cmd_classify(args) -> int:
     """Regularity verdict for the power cusp, optionally with a solver probe."""
     verdict = sol.classify(args.p, args.q, n=args.n, K=args.K, with_probe=args.with_probe)
-    payload = {"command": "classify",
-               "config": {"p": args.p, "q": args.q, "n": args.n, "K": args.K,
-                          "with_probe": args.with_probe},
-               "verdict": verdict.to_dict()}
-    _emit(payload, args.out)
+    _emit(args, {"verdict": verdict.to_dict()})
     return EXIT_PASS
 
 
 def cmd_solve(args) -> int:
     """Run the Dirichlet solver on a power cusp and export the field."""
     profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
-    if args.data == "probe":
-        f = sol.default_probe
-    elif args.data.startswith("const:"):
-        try:
-            cval = finite_float(args.data.split(":", 1)[1])
-        except argparse.ArgumentTypeError as err:
-            print(f"usage error: --data {args.data!r}: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        f = lambda r, t: cval + 0.0 * np.asarray(r, dtype=float)
-    else:
-        print(f"usage error: unknown --data {args.data!r}", file=sys.stderr)
-        return EXIT_USAGE
-    field = sol.solve_dirichlet(profile, args.p, args.n, f, _solver_config(args))
+    field = sol.solve_dirichlet(profile, args.p, args.n, args.data, _solver_config(args))
     if args.out:
         field.to_csv(args.out)
     ok = field.check_max_principle()
@@ -206,20 +217,10 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Classify a (p, q) grid; deterministic cell order, partial failures kept."""
-    try:
-        p_list = [finite_float(x) for x in args.p_list.split(",") if x.strip()]
-        q_list = [finite_float(x) for x in args.q_list.split(",") if x.strip()]
-    except argparse.ArgumentTypeError as err:
-        print(f"usage error: lists must be comma-separated floats, all finite: {err}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not p_list or not q_list:
-        print("usage error: empty p or q list", file=sys.stderr)
-        return EXIT_USAGE
     cells = []
     failures = 0
-    for p in p_list:
-        for q in q_list:
+    for p in args.p_list:
+        for q in args.q_list:
             try:
                 verdict = sol.classify(p, q, n=args.n, K=args.K,
                                        with_probe=args.with_probe)
@@ -228,11 +229,7 @@ def cmd_sweep(args) -> int:
             except DomainError as err:
                 failures += 1
                 cells.append({"p": p, "q": q, "error": str(err)})
-    payload = {"command": "sweep",
-               "config": {"p_list": p_list, "q_list": q_list, "n": args.n,
-                          "K": args.K, "with_probe": args.with_probe},
-               "cells": cells, "failures": failures}
-    _emit(payload, args.out)
+    _emit(args, {"cells": cells, "failures": failures}, "csv")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("p,q,verdict\n")
@@ -247,14 +244,7 @@ def cmd_scale_check(args) -> int:
     profile = dom.make_profile("power", K=args.K, q=args.q, t0=args.t0)
     rep = ver.check_scaling_equivariance(profile, args.p, args.a,
                                          cfg=_solver_config(args), n=args.n, tol=args.tol)
-    payload = {"command": "scale-check",
-               "config": {"p": args.p, "n": args.n, "a": args.a, "q": args.q,
-                          "K": args.K, "t0": args.t0, "grid_y": args.grid_y,
-                          "grid_t": args.grid_t, "eps_min": args.eps_min,
-                          "eps_reg": args.eps_reg, "c_step": args.c_step,
-                          "tol": args.tol},
-               "certificate": rep.to_dict()}
-    _emit(payload, args.out)
+    _emit(args, {"certificate": rep.to_dict()})
     return EXIT_PASS if rep.passed else EXIT_CERT_FAIL
 
 
@@ -312,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=finite_float, required=True)
     sp.add_argument("--K", type=finite_float, default=1.0)
     sp.add_argument("--t0", type=finite_float, default=-1.0)
-    sp.add_argument("--data", type=str, default="probe",
+    sp.add_argument("--data", type=datum, default="probe",
                     help="'probe' or 'const:<value>'")
     _solver_options(sp, n_y=129, n_t=400, eps_min=None)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="classify over a (p, q) grid")
-    sp.add_argument("--p-list", type=str, required=True)
-    sp.add_argument("--q-list", type=str, required=True)
+    sp.add_argument("--p-list", type=float_list, required=True)
+    sp.add_argument("--q-list", type=float_list, required=True)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--K", type=finite_float, default=1.0)
     sp.add_argument("--with-probe", action="store_true")

@@ -523,8 +523,6 @@ def check_scaling_equivariance(
     mismatch is a genuine discretization quantity that shrinks under
     refinement).
     """
-    if p == 2:
-        raise DomainError("p = 2 has no scaling invariance")
     if f is None:
         f = lambda r, t: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2) + 0.5 * np.asarray(t, dtype=float)
     scaled, factor = scale_domain(profile, a, p)

@@ -84,6 +84,19 @@ class TestSingularIrregularity:
         assert np.all(np.diff(lateral) > 0) and np.all(lateral < 1.0)
         np.testing.assert_allclose(lateral, [0.844, 0.991, 1.000], rtol=0, atol=5e-4)
 
+    def test_tip_value_is_the_lateral_limit_on_any_cusp(self):
+        # u(K(-t)^q, t) = K^(p/(p-1)) - c2 (-t)^(1-pq) on the cusp |x| < K(-t)^q
+        p, q, K = 1.7, 0.4, 2.0
+        spec = make_barrier("singular_irregularity", p=p, n=1, q=q, K=K)
+        assert spec.constants["tip_value"] == 2.0 ** (1.7 / 0.7)
+        t = -1e-8
+        lateral = float(spec.fn(K * (-t) ** q, t))
+        assert abs(lateral - spec.constants["tip_value"]) < 0.02
+
+    def test_tip_value_that_overflows_is_a_precondition_error(self):
+        with pytest.raises(DomainError, match="tip datum"):
+            make_barrier("singular_irregularity", p=1.5, n=1, q=0.25, K=1e200)
+
     def test_axis_decays_to_zero(self):
         u = singular_irregularity_barrier(1.5, 0.25, 2)
         ts = -np.logspace(0, -8, 30)

@@ -291,6 +291,29 @@ def test_negative_number_option_reads_alike_in_both_forms(argv, option, value):
     assert parse(argv + [option, value]) == parse(argv + [f"{option}={value}"])
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["verify", "--kind", "singular_irregularity", "--p", "1.5", "--q", "0.25",
+      "--grid-y", "8", "--grid-t", "8"],
+     {"p", "n", "q", "K", "t0", "grid_y", "grid_t", "C", "beta"}),
+    (["verify", "--kind", "degenerate_family_member", "--p", "3", "--n", "1", "--q", "0.5",
+      "--grid-y", "8", "--grid-t", "8", "--ladder", "2", "--k-max", "1"],
+     {"p", "n", "q", "K", "t0", "grid_y", "grid_t", "ladder", "k_max"}),
+    (["classify", "--p", "3", "--q", "0.34"], {"p", "n", "q", "K", "with_probe"}),
+    (["sweep", "--p-list", "3", "--q-list", "0.34", "--csv", "m.csv"],
+     {"p_list", "q_list", "n", "K", "with_probe"}),
+    (["scale-check", "--p", "3", "--grid-y", "9", "--grid-t", "10", "--eps-min", "1e-1"],
+     {"p", "n", "a", "q", "K", "t0", "grid_y", "grid_t", "eps_min", "eps_reg", "c_step",
+      "tol"}),
+])
+def test_report_config_is_every_parsed_option_that_applies(argv, keys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", "r.json"]) in (0, 2)
+    blob = json.loads((tmp_path / "r.json").read_text())
+    assert blob["command"] == argv[0] and set(blob["config"]) == keys
+    parsed = vars(cli._parser().parse_args(argv))
+    assert all(blob["config"][key] == parsed[key] for key in keys)
+
+
 class TestClassify:
     def test_regular(self, tmp_path):
         out = tmp_path / "v.json"
@@ -342,6 +365,12 @@ class TestSweep:
 
     def test_empty_q_list_usage_error(self):
         assert run(["sweep", "--p-list", "3", "--q-list", ""]) == 1
+
+    @pytest.mark.parametrize("p_list", ["3,,4", "3,", ",", " "])
+    def test_blank_list_entry_usage_error(self, p_list, capsys):
+        assert run(["sweep", "--p-list", p_list, "--q-list", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert "argument --p-list" in captured.err and captured.out == ""
 
     def test_non_numeric_list_usage_error(self, capsys):
         assert run(["sweep", "--p-list", "a", "--q-list", "0.5"]) == 1
@@ -400,10 +429,11 @@ class TestSolveAndScale:
     def test_solve_bad_data_usage_error(self):
         assert run(["solve", "--p", "3", "--q", "0.5", "--data", "wat"]) == 1
 
-    @pytest.mark.parametrize("data", ["const:abc", "const:nan"])
+    @pytest.mark.parametrize("data", ["const:abc", "const:nan", "const:", "const", "wat"])
     def test_solve_bad_const_usage_error(self, data, capsys):
         assert run(["solve", "--p", "3", "--q", "0.5", "--data", data]) == 1
-        assert "usage error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "argument --data" in captured.err and captured.out == ""
 
     def test_scale_check(self, tmp_path):
         out = tmp_path / "scale.json"

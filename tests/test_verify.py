@@ -397,6 +397,53 @@ class TestBarrierFamily:
             assert entry["below_envelope_margin"] >= -1e-10
             assert entry["envelope_vanishing"]
 
+    def test_envelope_that_does_not_vanish_fails_decay(self):
+        # on (3, 0.34, 1) rho_C falls only from 4.47 to 3.11 along the rays
+        # (less than half), so the family fails on envelope_vanishing alone
+        prof = make_profile("power", K=1.0, q=0.34, t0=-1.0)
+        gauge = envelope_gauge(prof, 3.0, 1)
+        C0, _ = find_family_threshold(3.0, 1, gauge)
+        ladder = [make_barrier("degenerate_family_member", p=3.0, n=1, q=0.34,
+                               C=C0 * 2 ** j, gauge=gauge) for j in range(9)]
+        rep = check_barrier_family(ladder, prof, 3.0, 1, k_max=4,
+                                   grid=make_cert_grid(prof, 64, 64))
+        assert not rep.passed and not rep.details["condition_iii_inconclusive"]
+        assert all(member["pass"] for member in rep.details["condition_i_members"])
+        for entry in rep.details["condition_ii_decay"]:
+            assert entry["below_envelope_margin"] >= -SIGN_TOL
+            assert not entry["envelope_vanishing"] and not entry["pass"]
+
+    def test_member_above_the_envelope_fails_decay(self, family_setup):
+        prof, _, _, ladder = family_setup
+        w = ladder[0].fn.fn
+        doubled = replace(ladder[0], fn=replace(ladder[0].fn, fn=lambda r, t: 2.0 * w(r, t)))
+        rep = check_barrier_family([doubled] + ladder[1:], prof, 3.0, 1, k_max=4,
+                                   grid=make_cert_grid(prof, 64, 64))
+        decay = rep.details["condition_ii_decay"][0]
+        assert decay["below_envelope_margin"] < -8.0 and decay["envelope_vanishing"]
+        assert not decay["pass"] and not rep.passed
+        assert rep.details["condition_i_members"][0]["pass"]
+
+    def test_member_zero_somewhere_fails_positivity_alone(self):
+        # on the K = 1e-4 cusp the lower bound lies within SIGN_TOL of 0, so
+        # a member that is 0 for t < -0.5 fails condition (i) by its
+        # positivity margin only
+        prof = make_profile("power", K=1e-4, q=0.5, t0=-1.0)
+        gauge = envelope_gauge(prof, 3.0, 1)
+        C0, _ = find_family_threshold(3.0, 1, gauge)
+        member = make_barrier("degenerate_family_member", p=3.0, n=1, q=0.5, K=1e-4,
+                              C=C0, gauge=gauge)
+        w = member.fn.fn
+        zeroed = replace(member, fn=replace(member.fn, fn=lambda r, t: np.where(
+            np.asarray(t) < -0.5, 0.0, w(r, t))))
+        rep = check_barrier_family([zeroed], prof, 3.0, 1, k_max=1,
+                                   grid=make_cert_grid(prof, 64, 64))
+        entry = rep.details["condition_i_members"][0]
+        assert entry["positivity_min"] == 0.0 and not entry["pass"]
+        assert all(entry[key] >= -SIGN_TOL for key in (
+            "residual_worst", "sandwich_margin_low", "sandwich_margin_high",
+            "lower_bound_margin"))
+
     def test_rays_and_levels_match_one_loop_each(self, family_setup):
         # reference: each member on one ray, and on the samples of one level,
         # at a time; the minima are exact, so the results are equal
